@@ -310,13 +310,17 @@ class Emitter {
 
   /// Emits a statement list, folding each run of adjacent reduction combines
   /// (Stmt::red_pack, set by the directive engine) into ONE packed
-  /// zomp_reduce rendezvous instead of one per variable.
+  /// zomp_reduce rendezvous for the whole construct.
   void emit_stmt_list(const std::vector<lang::StmtPtr>& stmts) {
     for (std::size_t i = 0; i < stmts.size(); ++i) {
       const Stmt& s = *stmts[i];
-      if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack > 1 &&
+      if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack >= 1 &&
           i + static_cast<std::size_t>(s.red_pack) <= stmts.size()) {
-        emit_reduce_pack(stmts, i, s.red_pack);
+        std::vector<const Stmt*> run;
+        for (int k = 0; k < s.red_pack; ++k) {
+          run.push_back(stmts[i + static_cast<std::size_t>(k)].get());
+        }
+        emit_reduce_pack(run);
         i += static_cast<std::size_t>(s.red_pack) - 1;
         continue;
       }
@@ -532,48 +536,32 @@ class Emitter {
         break;
       }
       case Stmt::Kind::kOmpReductionInit:
+        if (stmt.rhs) {
+          // Array section: a len-element private accumulator of identities,
+          // seen through a plain slice.
+          const Type elem = stmt.symbol->type.element();
+          const std::string acc = fresh("secacc");
+          line() << "std::vector<" << cpp_type(elem) << "> " << acc
+                 << " = mz::section_acc<" << cpp_type(elem) << ">("
+                 << expr(*stmt.rhs) << ", "
+                 << identity_text(stmt.reduce_op, elem) << ");";
+          out_ << '\n';
+          line() << cpp_type(stmt.symbol->type) << ' ' << var_name(stmt.symbol)
+                 << "{" << acc << ".data(), static_cast<std::int64_t>(" << acc
+                 << ".size())};";
+          out_ << '\n';
+          break;
+        }
         line() << cpp_type(stmt.symbol->type) << ' ' << var_name(stmt.symbol)
                << " = " << identity_text(stmt.reduce_op, stmt.symbol->type)
                << ';';
         out_ << '\n';
         break;
-      case Stmt::Kind::kOmpReductionCombine: {
-        // Tree rendezvous: zomp_reduce combines every member's private copy
-        // and returns 1 on the winner, which alone folds the result into the
-        // shared target (the ensuing barrier publishes it). No global lock.
-        // Multi-variable runs never reach here — emit_stmt_list routes them
-        // through emit_reduce_pack (one rendezvous for the whole construct).
-        line() << "{";
-        out_ << '\n';
-        open();
-        const std::string loc = loc_ident(stmt, "reduction");
-        out_ << '\n';
-        const std::string ty = cpp_type(stmt.symbol->type);
-        const std::string fn = fresh("redfn");
-        line() << "struct " << fn << "_s { static void run(void* __a, "
-               << "const void* __b) { "
-               << combine_text(stmt.reduce_op,
-                               "(*static_cast<" + ty + "*>(__a))",
-                               "(*static_cast<const " + ty + "*>(__b))")
-               << "; } };";
-        out_ << '\n';
-        line() << "if (zomp_reduce(&" << loc << ", __gtid, &"
-               << var_name(stmt.symbol) << ", sizeof(" << var_name(stmt.symbol)
-               << "), &" << fn << "_s::run)) {";
-        out_ << '\n';
-        open();
-        line() << combine_text(stmt.reduce_op, var_name(stmt.target_symbol),
-                               var_name(stmt.symbol))
-               << ';';
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+      case Stmt::Kind::kOmpReductionCombine:
+        // Combine runs normally arrive through emit_stmt_list; a lone
+        // combine is a run of one.
+        emit_reduce_pack({&stmt});
         break;
-      }
       case Stmt::Kind::kOmpLastprivateWrite:
         line() << var_name(stmt.target_symbol) << " = "
                << var_name(stmt.symbol) << ';';
@@ -1182,26 +1170,51 @@ class Emitter {
 
   // -- Reduction helpers ------------------------------------------------------------
 
-  /// One packed rendezvous for a run of `k` adjacent reduction combines
-  /// (multi-variable `reduction(...)` on one construct): every member
-  /// deposits a struct holding all k partials, the combine function folds
-  /// each field with its own operator, and the single winner folds every
-  /// field into its shared target. k variables, one barrier-equivalent —
-  /// see runtime/reduce.h.
-  void emit_reduce_pack(const std::vector<lang::StmtPtr>& stmts,
-                        std::size_t begin, int k) {
+  /// One packed rendezvous for a run of adjacent reduction combines (every
+  /// list item of one construct): every member deposits one payload — a
+  /// header struct of the scalar partials and the section lengths, followed
+  /// by each array section's partials — the combine function folds each
+  /// field or element with its own operator, and the single winner folds
+  /// everything into the shared targets. One barrier-equivalent per
+  /// construct; payloads past the tree's slot size take its by-reference
+  /// fallback (see runtime/reduce.h).
+  void emit_reduce_pack(const std::vector<const Stmt*>& run) {
     line() << "{";
     out_ << '\n';
     open();
-    const std::string loc = loc_ident(*stmts[begin], "reduction");
+    const std::string loc = loc_ident(*run[0], "reduction");
     out_ << '\n';
     const std::string pack = fresh("redpack");
+    auto field = [&](std::size_t i) {
+      return std::string(run[i]->rhs ? "n" : "v") + std::to_string(i);
+    };
+    auto elem_type = [&](std::size_t i) {
+      return cpp_type(run[i]->symbol->type.element());
+    };
     line() << "struct " << pack << "_t {";
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      out_ << ' ' << cpp_type(s.symbol->type) << " v" << i << ';';
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const Stmt& s = *run[i];
+      out_ << ' ' << (s.rhs ? "std::int64_t" : cpp_type(s.symbol->type)) << ' '
+           << field(i) << ';';
     }
     out_ << " };\n";
+
+    // Pointer expression to section i's elements in payload `head`: the
+    // sections follow the header in run order, so the byte offset sums the
+    // earlier sections' sizes.
+    auto section_at = [&](const std::string& head, std::size_t i,
+                          bool is_const) {
+      std::string offset;
+      for (std::size_t k = 0; k < i; ++k) {
+        if (!run[k]->rhs) continue;
+        if (!offset.empty()) offset += " + ";
+        offset += head + "->" + field(k) + " * sizeof(" + elem_type(k) + ")";
+      }
+      return "mz::section_at<" + std::string(is_const ? "const " : "") +
+             elem_type(i) + ">(" + head + ", " +
+             (offset.empty() ? "0" : offset) + ")";
+    };
+
     line() << "struct " << pack << "_s { static void run(void* __a, "
            << "const void* __b) {";
     out_ << '\n';
@@ -1210,31 +1223,78 @@ class Emitter {
     out_ << '\n';
     line() << "const auto* __y = static_cast<const " << pack << "_t*>(__b);";
     out_ << '\n';
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      const std::string field = "v" + std::to_string(i);
-      line() << combine_text(s.reduce_op, "__x->" + field, "__y->" + field)
-             << ';';
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (!run[i]->rhs) {
+        line() << combine_text(run[i]->reduce_op, "__x->" + field(i),
+                               "__y->" + field(i))
+               << ';';
+        out_ << '\n';
+        continue;
+      }
+      line() << "{ auto* __xs = " << section_at("__x", i, false)
+             << "; const auto* __ys = " << section_at("__y", i, true) << ';';
+      out_ << '\n';
+      line() << "  for (std::int64_t __j = 0; __j < __x->" << field(i)
+             << "; ++__j) "
+             << combine_text(run[i]->reduce_op, "__xs[__j]", "__ys[__j]")
+             << "; }";
       out_ << '\n';
     }
     close();
     line() << "} };";
     out_ << '\n';
-    line() << pack << "_t " << pack << "{";
-    for (int i = 0; i < k; ++i) {
+
+    // The deposit: the header struct is built at the front of a payload
+    // buffer and each section's private accumulator is appended after it.
+    const std::string bytes = fresh("redbytes");
+    line() << "const std::size_t " << bytes << " = sizeof(" << pack << "_t)";
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (!run[i]->rhs) continue;
+      out_ << " + " << var_name(run[i]->symbol) << ".len * sizeof("
+           << elem_type(i) << ")";
+    }
+    out_ << ";\n";
+    const std::string buf = fresh("redbuf");
+    line() << "std::vector<unsigned char> " << buf << '(' << bytes << ");";
+    out_ << '\n';
+    const std::string head = fresh("redhead");
+    line() << "auto* " << head << " = new (" << buf << ".data()) " << pack
+           << "_t{";
+    for (std::size_t i = 0; i < run.size(); ++i) {
       if (i > 0) out_ << ", ";
-      out_ << var_name(stmts[begin + static_cast<std::size_t>(i)]->symbol);
+      out_ << var_name(run[i]->symbol) << (run[i]->rhs ? ".len" : "");
     }
     out_ << "};\n";
-    line() << "if (zomp_reduce(&" << loc << ", __gtid, &" << pack
-           << ", sizeof(" << pack << "), &" << pack << "_s::run)) {";
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      if (!run[i]->rhs) continue;
+      const std::string local = var_name(run[i]->symbol);
+      line() << "std::copy_n(" << local << ".ptr, " << local << ".len, "
+             << section_at(head, i, false) << ");";
+      out_ << '\n';
+    }
+    line() << "if (zomp_reduce(&" << loc << ", __gtid, " << head << ", "
+           << bytes << ", &" << pack << "_s::run)) {";
     out_ << '\n';
     open();
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      line() << combine_text(s.reduce_op, var_name(s.target_symbol),
-                             pack + ".v" + std::to_string(i))
-             << ';';
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const Stmt& s = *run[i];
+      if (!s.rhs) {
+        line() << combine_text(s.reduce_op, var_name(s.target_symbol),
+                               head + "->" + field(i))
+               << ';';
+        out_ << '\n';
+        continue;
+      }
+      // Element j of the section lands at target[lo + j].
+      line() << "{ const auto* __s = " << section_at(head, i, true) << ';';
+      out_ << '\n';
+      line() << "  for (std::int64_t __j = 0; __j < " << head << "->"
+             << field(i) << "; ++__j) "
+             << combine_text(s.reduce_op,
+                             var_name(s.target_symbol) + "[(" + expr(*s.expr) +
+                                 ") + __j]",
+                             "__s[__j]")
+             << "; }";
       out_ << '\n';
     }
     close();

@@ -10,11 +10,15 @@
 // The ablate_safety bench compiles the same kernels both ways.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace mz {
 
@@ -49,6 +53,25 @@ Slice<T> alloc(std::int64_t n) {
 template <typename T>
 void free_slice(Slice<T> s) {
   delete[] s.ptr;
+}
+
+// -- Array-section reductions ----------------------------------------------
+
+/// Private accumulator of `reduction(op: q[lo:len])`: `n` copies of the
+/// operator identity.
+template <typename T>
+std::vector<T> section_acc(std::int64_t n, T identity) {
+  if (n < 0) panic("negative array-section length", n, 0);
+  return std::vector<T>(static_cast<std::size_t>(n), identity);
+}
+
+/// Elements of the section that starts `offset` bytes past payload header
+/// `head` (headers and elements are all 8-byte aligned).
+template <typename T, typename H>
+T* section_at(H* head, std::size_t offset) {
+  using Byte = std::conditional_t<std::is_const_v<H>, const unsigned char,
+                                  unsigned char>;
+  return reinterpret_cast<T*>(reinterpret_cast<Byte*>(head + 1) + offset);
 }
 
 // -- Builtins ---------------------------------------------------------------

@@ -42,9 +42,21 @@ constexpr bool directive_is_standalone(DirectiveKind kind) {
          kind == DirectiveKind::kCancellationPoint;
 }
 
+/// The array section of a `reduction(op: name[lo:len])` list item. `lo` and
+/// `len` are i64 expressions evaluated once at construct entry; both are
+/// null for a plain (scalar) list item.
+struct ReductionSection {
+  lang::ExprPtr lo;
+  lang::ExprPtr len;
+
+  bool present() const { return len != nullptr; }
+};
+
 struct ReductionClause {
   lang::ReduceOp op = lang::ReduceOp::kAdd;
   std::vector<std::string> vars;
+  /// Parallel to `vars`: the section of each list item (absent for scalars).
+  std::vector<ReductionSection> sections;
 };
 
 /// One depend(kind: list) clause on a task. The list items are lvalue

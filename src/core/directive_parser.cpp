@@ -264,12 +264,18 @@ class ClauseParser {
     }
     ++i;
     std::vector<Token> rest(arg.begin() + static_cast<std::ptrdiff_t>(i), arg.end());
-    for (const auto& group : split_commas(std::move(rest))) {
-      if (group.size() != 1 || !group[0].is(TokenKind::kIdentifier)) {
-        error("expected variable names after ':' in reduction");
+    for (auto& group : split_commas(std::move(rest))) {
+      if (group.empty() || !group[0].is(TokenKind::kIdentifier) ||
+          (group.size() > 1 && !group[1].is(TokenKind::kLBracket))) {
+        error(
+            "expected variable names or array sections (name[lo:len]) after "
+            "':' in reduction");
         return false;
       }
+      ReductionSection section;
+      if (group.size() > 1 && !parse_section(group, section)) return false;
       clause.vars.push_back(group[0].text);
+      clause.sections.push_back(std::move(section));
     }
     if (clause.vars.empty()) {
       error("reduction clause lists no variables");
@@ -277,6 +283,56 @@ class ClauseParser {
     }
     d.reductions.push_back(std::move(clause));
     return true;
+  }
+
+  /// The `name[lo:len]` form of a reduction list item (`group` starts with
+  /// the name and '['). An empty `lo` means 0; the length is required.
+  bool parse_section(std::vector<Token>& group, ReductionSection& section) {
+    const std::string& name = group[0].text;
+    if (!group.back().is(TokenKind::kRBracket)) {
+      error("array section '" + name + "[...]' must end with ']'");
+      return false;
+    }
+    std::size_t colon = 0;
+    int depth = 0;
+    for (std::size_t k = 2; k + 1 < group.size(); ++k) {
+      const Token& t = group[k];
+      if (t.is(TokenKind::kLParen) || t.is(TokenKind::kLBracket)) ++depth;
+      if (t.is(TokenKind::kRParen) || t.is(TokenKind::kRBracket)) --depth;
+      if (depth == 0 && t.is(TokenKind::kColon)) {
+        colon = k;
+        break;
+      }
+    }
+    if (colon == 0) {
+      error("array section '" + name + "[...]' needs the form " + name +
+            "[lo:len]");
+      return false;
+    }
+    if (colon + 2 == group.size()) {
+      error("array section '" + name + "[...]' is missing its length (" +
+            name + "[lo:len])");
+      return false;
+    }
+    auto parse_part = [&](std::size_t from, std::size_t to) -> lang::ExprPtr {
+      std::vector<Token> part(group.begin() + static_cast<std::ptrdiff_t>(from),
+                              group.begin() + static_cast<std::ptrdiff_t>(to));
+      for (auto& t : part) t.loc = loc_;
+      const std::size_t before = diags_.all().size();
+      lang::ExprPtr e = lang::Parser::parse_expression(std::move(part), diags_);
+      if (e == nullptr || diags_.all().size() != before) {
+        diags_ok_ = false;
+        return nullptr;
+      }
+      return e;
+    };
+    if (colon == 2) {
+      section.lo = lang::Expr::make(lang::Expr::Kind::kIntLit, loc_);
+    } else {
+      section.lo = parse_part(2, colon);
+    }
+    section.len = parse_part(colon + 1, group.size() - 1);
+    return section.lo != nullptr && section.len != nullptr;
   }
 
   bool parse_schedule(Directive& d) {
@@ -555,6 +611,15 @@ class ClauseParser {
     }
     if (!is_parallel && !is_for) {
       reject(!d.reductions.empty(), "reduction");
+    }
+    std::unordered_set<std::string> reduced;
+    for (const auto& r : d.reductions) {
+      for (const auto& n : r.vars) {
+        if (!reduced.insert(n).second) {
+          error("variable '" + n +
+                "' appears more than once in the reduction clauses");
+        }
+      }
     }
     if (d.kind == DirectiveKind::kParallelFor) {
       reject(d.nowait, "nowait");

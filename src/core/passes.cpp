@@ -306,9 +306,19 @@ class Folder {
         kill_assigned(stmt, env);
         break;
       }
+      case Stmt::Kind::kOmpReductionCombine:
+        // Array-section bounds; the combine writes `target`, which the
+        // enclosing scope's kill_assigned/disqualification already drops.
+        fold_expr(stmt.expr, env);
+        fold_expr(stmt.rhs, env);
+        break;
       case Stmt::Kind::kVarDecl:
       case Stmt::Kind::kOmpReductionInit: {
         if (stmt.init && !stmt.init_is_type_hint) fold_expr(stmt.init, env);
+        if (stmt.kind == Stmt::Kind::kOmpReductionInit) {
+          fold_expr(stmt.expr, env);  // array-section bounds
+          fold_expr(stmt.rhs, env);
+        }
         env.erase(stmt.name);
         if (stmt.kind == Stmt::Kind::kVarDecl && stmt.is_const && stmt.init &&
             !stmt.init_is_type_hint && !disqualified_.contains(stmt.name)) {
@@ -615,10 +625,10 @@ class FusePass : public Pass {
   ///   * equal team shape: num_threads both absent or equal literals,
   ///     if-clause absent on both, proc_bind equal;
   ///   * a variable captured by both regions must use the same mode (and
-  ///     reduce op) in each — this is what rejects the nowait-unsafe
-  ///     boundaries: a by-value read in region 2 of a variable region 1
-  ///     writes through a shared/reduction pointer (lastprivate writeback,
-  ///     reduction results) shows up as a mode mismatch;
+  ///     reduce op and section-ness) in each — this is what rejects the
+  ///     nowait-unsafe boundaries: a by-value read in region 2 of a variable
+  ///     region 1 writes through a shared/reduction pointer (lastprivate
+  ///     writeback, reduction results) shows up as a mode mismatch;
   ///   * a variable captured by value in both must not be written by body 1
   ///     (the fused function has ONE parameter for it: region 2's private
   ///     copy would otherwise observe region 1's writes);
@@ -655,7 +665,8 @@ class FusePass : public Pass {
       if (it == first.end()) continue;
       const CaptureArg& f = *it->second;
       if (f.mode != c.mode) return false;
-      if (c.mode == CaptureMode::kReductionPtr && f.reduce_op != c.reduce_op) {
+      if (c.mode == CaptureMode::kReductionPtr &&
+          (f.reduce_op != c.reduce_op || f.section != c.section)) {
         return false;
       }
       if (c.mode == CaptureMode::kValue &&

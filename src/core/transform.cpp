@@ -1,6 +1,7 @@
 #include "core/transform.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,8 +31,79 @@ class Renamer {
   Renamer(std::string from, std::string to)
       : from_(std::move(from)), to_(std::move(to)) {}
 
+  /// Array-section mode: `from` names the target of a `from[lo:len]`
+  /// reduction, whose private accumulator `to` holds only the section. Each
+  /// `from[i]` becomes `to[i - lo]`; any use the accumulator cannot serve is
+  /// recorded in misuse(): a non-indexing use (the private slice is not the
+  /// whole array), or any use inside a nested task/taskloop or an
+  /// already-outlined construct (a deferred task could write the accumulator
+  /// after the construct's combine has consumed it).
+  Renamer(std::string from, std::string to, const Expr& section_lo)
+      : from_(std::move(from)), to_(std::move(to)), section_lo_(&section_lo) {}
+
+  struct Misuse {
+    lang::SourceLoc loc;
+    bool in_task = false;  ///< inside a task/taskloop or outlined construct
+  };
+
+  /// First use of a section target the accumulator cannot serve, if any.
+  const std::optional<Misuse>& misuse() const { return misuse_; }
+
   void rename(Stmt& stmt) {
     if (shadowed_) return;
+    const bool saved_in_task = in_task_;
+    if (section_lo_ != nullptr && opens_task(stmt)) in_task_ = true;
+    rename_stmt(stmt);
+    in_task_ = saved_in_task;
+  }
+
+  void rename(Expr& expr) {
+    if (section_lo_ != nullptr && expr.kind == Expr::Kind::kIndex &&
+        expr.args[0]->kind == Expr::Kind::kVarRef &&
+        expr.args[0]->name == from_) {
+      if (in_task_) note_misuse(expr.loc);
+      expr.args[0]->name = to_;
+      rename(*expr.args[1]);
+      const bool zero_lo = section_lo_->kind == Expr::Kind::kIntLit &&
+                           section_lo_->int_value == 0;
+      if (!zero_lo) {
+        const lang::SourceLoc loc = expr.args[1]->loc;
+        auto shifted = Expr::make(Expr::Kind::kBinary, loc);
+        shifted->bin_op = lang::BinOp::kSub;
+        shifted->args.push_back(std::move(expr.args[1]));
+        shifted->args.push_back(lang::clone_expr(*section_lo_));
+        expr.args[1] = std::move(shifted);
+      }
+      return;
+    }
+    if (expr.kind == Expr::Kind::kVarRef && expr.name == from_) {
+      if (section_lo_ != nullptr) note_misuse(expr.loc);
+      expr.name = to_;
+      return;
+    }
+    for (auto& a : expr.args) rename(*a);
+  }
+
+ private:
+  /// Whether `stmt` still carries a `task` or `taskloop` directive (nested
+  /// constructs are lowered after the enclosing one).
+  static bool opens_task(const Stmt& stmt) {
+    for (const auto& pending : stmt.pending_directives) {
+      const std::string& text = pending.first;
+      const auto begin = text.find_first_not_of(" \t");
+      if (begin == std::string::npos) continue;
+      const auto end = text.find_first_of(" \t(", begin);
+      const std::string head = text.substr(begin, end - begin);
+      if (head == "task" || head == "taskloop") return true;
+    }
+    return false;
+  }
+
+  void note_misuse(lang::SourceLoc loc) {
+    if (!misuse_) misuse_ = Misuse{loc, in_task_};
+  }
+
+  void rename_stmt(Stmt& stmt) {
     switch (stmt.kind) {
       case Stmt::Kind::kBlock: {
         const bool saved = shadowed_;
@@ -77,7 +149,13 @@ class Renamer {
       case Stmt::Kind::kOmpTask:
       case Stmt::Kind::kOmpTaskloop:
         for (auto& cap : stmt.captures) {
-          if (cap.name == from_) cap.name = to_;
+          if (cap.name != from_) continue;
+          // The outlined body indexes the whole array and cannot be
+          // shifted onto a section accumulator from here.
+          if (section_lo_ != nullptr && !misuse_) {
+            misuse_ = Misuse{stmt.loc, true};
+          }
+          cap.name = to_;
         }
         if (stmt.num_threads) rename(*stmt.num_threads);
         if (stmt.if_clause) rename(*stmt.if_clause);
@@ -113,39 +191,32 @@ class Renamer {
         rename(*stmt.body);
         break;
       case Stmt::Kind::kOmpReductionInit:
-        if (stmt.target == from_) stmt.target = to_;
-        break;
       case Stmt::Kind::kOmpReductionCombine:
       case Stmt::Kind::kOmpLastprivateWrite:
-        if (stmt.name == from_) stmt.name = to_;
+        // An init declares `name` (a new binding); the others read it.
+        if (stmt.kind != Stmt::Kind::kOmpReductionInit && stmt.name == from_) {
+          stmt.name = to_;
+        }
         if (stmt.target == from_) stmt.target = to_;
+        if (stmt.expr) rename(*stmt.expr);  // array-section bounds
+        if (stmt.rhs) rename(*stmt.rhs);
         break;
       default:
         break;
     }
   }
 
-  void rename(Expr& expr) {
-    if (expr.kind == Expr::Kind::kVarRef && expr.name == from_) {
-      expr.name = to_;
-      return;
-    }
-    for (auto& a : expr.args) rename(*a);
-  }
-
- private:
   std::string from_;
   std::string to_;
+  const Expr* section_lo_ = nullptr;
+  std::optional<Misuse> misuse_;
+  bool in_task_ = false;
   bool shadowed_ = false;
 };
 
 /// red_pack value for combine #i of a run of n (see Stmt::red_pack): the
-/// head carries the run length, the rest 0. Runs longer than the
-/// interpreter's fixed pack payload (16 entries) degrade to per-variable
-/// rendezvous — correct, just not packed.
+/// head carries the run length, the rest 0.
 int pack_len(std::size_t i, std::size_t n) {
-  constexpr std::size_t kMaxPack = 16;
-  if (n > kMaxPack) return 1;
   return i == 0 ? static_cast<int>(n) : 0;
 }
 
@@ -388,10 +459,98 @@ class Transformer {
     return stmt.kind == Stmt::Kind::kBlock && stmt.stmts.empty();
   }
 
+  // -- array-section reductions ---------------------------------------------------
+
+  /// The bounds an array-section init/combine carries (Stmt::expr / rhs).
+  /// Literal bounds stay literals; any other bound is snapshotted into a
+  /// synthesized const in `entry`, so it is evaluated exactly once, at
+  /// construct entry, and the body cannot change it under the combine.
+  struct SectionBounds {
+    ExprPtr lo;
+    ExprPtr len;
+  };
+
+  SectionBounds section_bounds(const ReductionSection& section,
+                               lang::SourceLoc loc,
+                               std::vector<StmtPtr>& entry) {
+    const std::string tag = "__omp_rs" + std::to_string(section_counter_++);
+    auto bound = [&](const Expr& e, const char* suffix) -> ExprPtr {
+      if (e.kind == Expr::Kind::kIntLit) return lang::clone_expr(e);
+      const std::string name = tag + suffix;
+      entry.push_back(make_const_decl(name, lang::clone_expr(e), loc));
+      return make_var(name, loc);
+    };
+    SectionBounds b;
+    b.lo = bound(*section.lo, "_lo");
+    b.len = bound(*section.len, "_len");
+    return b;
+  }
+
+  /// Points `body`'s element accesses `from[i]` at the section accumulator
+  /// `to[i - lo]`. The accumulator covers only the section, so any other
+  /// use of `from` inside the construct is an error.
+  void rewrite_section_uses(Stmt& body, const std::string& from,
+                            const std::string& to, const Expr& lo,
+                            const Directive& d) {
+    Renamer renamer(from, to, lo);
+    renamer.rename(body);
+    const auto& bad = renamer.misuse();
+    if (!bad) return;
+    const std::string where =
+        " (directive line " + std::to_string(d.loc.line) + ")";
+    if (bad->in_task) {
+      error(bad->loc, "array-section reduction variable '" + from +
+                          "' may not be used inside a nested task, taskloop "
+                          "or outlined construct: a deferred task could "
+                          "update it after the combine" + where);
+    } else {
+      error(bad->loc, "array-section reduction variable '" + from +
+                          "' may only be indexed (" + from +
+                          "[i]) inside the construct" + where);
+    }
+  }
+
+  /// A reduction init or combine between private `name` and shared
+  /// `target`; a section item (`b` non-null) carries its bounds.
+  static StmtPtr make_reduction_stmt(Stmt::Kind kind, const Directive& d,
+                                     std::string name, std::string target,
+                                     ReduceOp op, const SectionBounds* b) {
+    auto s = Stmt::make(kind, d.loc);
+    s->name = std::move(name);
+    s->target = std::move(target);
+    s->reduce_op = op;
+    if (b != nullptr) {
+      s->expr = lang::clone_expr(*b->lo);
+      s->rhs = lang::clone_expr(*b->len);
+    }
+    return s;
+  }
+
   // -- parallel -------------------------------------------------------------------
 
   StmtPtr lower_parallel(FnDecl* fn, Directive& d, StmtPtr region) {
     ++stats_.regions_outlined;
+    // Array-section items: bounds are snapshotted by the encountering thread
+    // before the fork (captured by value), and the region's element accesses
+    // move to the section accumulator, which keeps the variable's name.
+    std::vector<StmtPtr> entry;
+    std::unordered_map<std::string, SectionBounds> sections;
+    for (const auto& r : d.reductions) {
+      for (std::size_t i = 0; i < r.vars.size(); ++i) {
+        if (!r.sections[i].present()) continue;
+        const std::string& n = r.vars[i];
+        SectionBounds b = section_bounds(r.sections[i], d.loc, entry);
+        rewrite_section_uses(*region, n, n, *b.lo, d);
+        sections.emplace(n, std::move(b));
+      }
+    }
+    std::vector<std::string> snapshots;
+    for (const auto& decl : entry) snapshots.push_back(decl->name);
+    auto section_of = [&](const std::string& n) -> const SectionBounds* {
+      const auto it = sections.find(n);
+      return it == sections.end() ? nullptr : &it->second;
+    };
+
     // Capture set: free variables of the region, in first-use order, plus
     // clause-listed names the body never mentions.
     const std::vector<FreeVar> free_detailed =
@@ -409,10 +568,12 @@ class Transformer {
     add_clause_names(d.private_vars);
     add_clause_names(d.firstprivate_vars);
     for (const auto& r : d.reductions) add_clause_names(r.vars);
+    add_clause_names(snapshots);
 
     // Classify every capture against the data-sharing clauses.
     std::unordered_map<std::string, CaptureMode> mode;
     std::unordered_map<std::string, ReduceOp> red_op;
+    for (const auto& n : snapshots) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.private_vars) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.firstprivate_vars) mode[n] = CaptureMode::kValue;
     for (const auto& n : d.shared_vars) {
@@ -448,24 +609,20 @@ class Transformer {
     for (const auto& n : captured) {
       if (mode[n] != CaptureMode::kReductionPtr) continue;
       reduction_names.push_back(n);
-      auto init = Stmt::make(Stmt::Kind::kOmpReductionInit, d.loc);
-      init->name = n;
-      init->target = n + "__red";
-      init->reduce_op = red_op[n];
-      body->stmts.push_back(std::move(init));
+      body->stmts.push_back(make_reduction_stmt(Stmt::Kind::kOmpReductionInit,
+                                                d, n, n + "__red", red_op[n],
+                                                section_of(n)));
     }
     body->stmts.push_back(std::move(region));
     // All of the construct's combines are emitted adjacently and the first
-    // carries the run length: backends pack the run into ONE zomp_reduce
-    // rendezvous (struct payload, one barrier-equivalent for k variables —
-    // see runtime/reduce.h). Runs past the pack cap fall back to per-var
-    // rendezvous, which only bounds the interpreter's fixed payload.
+    // carries the run length: backends pack the run — scalars and array
+    // sections alike — into ONE zomp_reduce rendezvous (one
+    // barrier-equivalent for k list items; see runtime/reduce.h).
     for (std::size_t i = 0; i < reduction_names.size(); ++i) {
       const auto& n = reduction_names[i];
-      auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
-      combine->name = n;
-      combine->target = n + "__red";
-      combine->reduce_op = red_op[n];
+      auto combine =
+          make_reduction_stmt(Stmt::Kind::kOmpReductionCombine, d, n,
+                              n + "__red", red_op[n], section_of(n));
       combine->red_pack = pack_len(i, reduction_names.size());
       body->stmts.push_back(std::move(combine));
       // Region-end join barrier publishes the combined value.
@@ -491,7 +648,10 @@ class Transformer {
       CaptureArg cap;
       cap.name = n;
       cap.mode = mode[n];
-      if (cap.mode == CaptureMode::kReductionPtr) cap.reduce_op = red_op[n];
+      if (cap.mode == CaptureMode::kReductionPtr) {
+        cap.reduce_op = red_op[n];
+        cap.section = section_of(n) != nullptr;
+      }
       fork->captures.push_back(std::move(cap));
     }
     if (d.num_threads) fork->num_threads = std::move(d.num_threads);
@@ -499,7 +659,11 @@ class Transformer {
     if (d.proc_bind != ProcBindKind::kUnspecified) {
       fork->proc_bind = static_cast<int>(d.proc_bind);
     }
-    return fork;
+    if (entry.empty()) return fork;
+    auto block = Stmt::make(Stmt::Kind::kBlock, d.loc);
+    for (auto& e : entry) block->stmts.push_back(std::move(e));
+    block->stmts.push_back(std::move(fork));
+    return block;
   }
 
   /// How a region uses a variable, for the default(none) suggestion.
@@ -780,21 +944,34 @@ class Transformer {
     if (standalone && !d.reductions.empty()) {
       // `omp for reduction(...)` inside an existing region: private
       // accumulator, then the team's tree combine into the visible
-      // variable, then a barrier (unless nowait).
+      // variable, then a barrier (unless nowait). Array-section bounds are
+      // snapshotted by every member at construct entry.
       auto block = Stmt::make(Stmt::Kind::kBlock, d.loc);
-      std::vector<std::pair<std::string, ReduceOp>> combines;
+      std::vector<StmtPtr> entry;
+      std::vector<StmtPtr> inits;
+      std::vector<StmtPtr> combines;
       for (const auto& r : d.reductions) {
-        for (const auto& n : r.vars) {
+        for (std::size_t i = 0; i < r.vars.size(); ++i) {
+          const std::string& n = r.vars[i];
           const std::string priv = n + "__prv";
-          auto init = Stmt::make(Stmt::Kind::kOmpReductionInit, d.loc);
-          init->name = priv;
-          init->target = n;
-          init->reduce_op = r.op;
-          block->stmts.push_back(std::move(init));
-          rename_in_body(n, priv);
-          combines.emplace_back(n, r.op);
+          std::optional<SectionBounds> b;
+          if (r.sections[i].present()) {
+            b = section_bounds(r.sections[i], d.loc, entry);
+            if (!is_loop_iv(n) && loop->name != n) {
+              rewrite_section_uses(*loop->body, n, priv, *b->lo, d);
+            }
+          } else {
+            rename_in_body(n, priv);
+          }
+          const SectionBounds* bp = b ? &*b : nullptr;
+          inits.push_back(make_reduction_stmt(Stmt::Kind::kOmpReductionInit,
+                                              d, priv, n, r.op, bp));
+          combines.push_back(make_reduction_stmt(
+              Stmt::Kind::kOmpReductionCombine, d, priv, n, r.op, bp));
         }
       }
+      for (auto& e : entry) block->stmts.push_back(std::move(e));
+      for (auto& s : inits) block->stmts.push_back(std::move(s));
       for (auto& p : prolog) block->stmts.push_back(std::move(p));
       ws->nowait = true;  // combine first, then barrier below
       ws->body = std::move(loop);
@@ -802,13 +979,8 @@ class Transformer {
       // Adjacent combines, head carries the run length: one packed
       // rendezvous for the whole construct (see lower_parallel).
       for (std::size_t i = 0; i < combines.size(); ++i) {
-        const auto& [n, op] = combines[i];
-        auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
-        combine->name = n + "__prv";
-        combine->target = n;
-        combine->reduce_op = op;
-        combine->red_pack = pack_len(i, combines.size());
-        block->stmts.push_back(std::move(combine));
+        combines[i]->red_pack = pack_len(i, combines.size());
+        block->stmts.push_back(std::move(combines[i]));
       }
       if (!d.nowait) {
         block->stmts.push_back(Stmt::make(Stmt::Kind::kOmpBarrier, d.loc));
@@ -1022,6 +1194,7 @@ class Transformer {
       outlined_modes_;
   int counter_ = 0;
   int collapse_counter_ = 0;
+  int section_counter_ = 0;
   int taskloop_counter_ = 0;
   bool failed_ = false;
 };

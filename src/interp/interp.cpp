@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <sstream>
 
 #include "lang/sema.h"
@@ -93,62 +94,14 @@ Value combine_values(ReduceOp op, const Value& a, const Value& b,
   panic(loc, "bad reduction operator");
 }
 
-/// Trivially-copyable payload for team reductions: the runtime tree memcpy's
-/// its slots, so Value (a variant with non-trivial alternatives) cannot ride
-/// in them directly. Sema restricts reductions to i64/f64/bool, which all
-/// fit here; every member carries the same tag and op for one construct.
-struct RedPod {
-  std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
-  lang::ReduceOp op = lang::ReduceOp::kAdd;
-  std::int64_t i = 0;
-  double f = 0.0;
-  bool b = false;
-};
-
-RedPod to_pod(const Value& v, ReduceOp op, const lang::SourceLoc& loc) {
-  RedPod pod;
-  pod.op = op;
-  if (std::holds_alternative<std::int64_t>(v.v)) {
-    pod.tag = 0;
-    pod.i = v.as_i64();
-  } else if (std::holds_alternative<double>(v.v)) {
-    pod.tag = 1;
-    pod.f = v.as_f64();
-  } else if (std::holds_alternative<bool>(v.v)) {
-    pod.tag = 2;
-    pod.b = v.as_bool();
-  } else {
-    panic(loc, "reduction over non-scalar value");
-  }
-  return pod;
-}
-
-Value from_pod(const RedPod& pod) {
-  switch (pod.tag) {
-    case 1: return Value(pod.f);
-    case 2: return Value(pod.b);
-    default: return Value(pod.i);
-  }
-}
-
-void pod_combine(void* /*ctx*/, void* lhs, const void* rhs) {
-  auto* a = static_cast<RedPod*>(lhs);
-  const auto* b = static_cast<const RedPod*>(rhs);
-  static const lang::SourceLoc kNoLoc{};
-  const Value combined = combine_values(b->op, from_pod(*a), from_pod(*b), kNoLoc);
-  switch (a->tag) {
-    case 1: a->f = combined.as_f64(); break;
-    case 2: a->b = combined.as_bool(); break;
-    default: a->i = combined.as_i64(); break;
-  }
-}
-
-/// Multi-variable packed payload (one rendezvous for a whole construct's
-/// reduction run, Stmt::red_pack; see runtime/reduce.h). Entries are 16
-/// bytes so up to 3 variables still ride the inline tree slots; larger
-/// packs transparently take the tree's per-team fallback lock — either way
-/// the construct costs ONE rendezvous, not k. The deposited size is
-/// truncated to the live entries so the tree sees the smallest payload.
+/// Packed reduction payload (one rendezvous per construct, Stmt::red_pack;
+/// see runtime/reduce.h). The runtime tree memcpy's its slots, so Value (a
+/// variant with non-trivial alternatives) cannot ride in them directly: the
+/// payload is an entry count followed by one trivially-copyable 16-byte
+/// entry per scalar partial and per array-section element. Up to three
+/// entries ride the inline tree slots; larger payloads transparently take
+/// the tree's by-reference fallback — either way the construct costs ONE
+/// rendezvous.
 struct PackEntry {
   std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
   std::uint8_t op = 0;   // lang::ReduceOp
@@ -159,16 +112,21 @@ struct PackEntry {
   } u{};
 };
 
-constexpr int kMaxPack = 16;  // mirrored by transform.cpp pack_len
-
-struct PackPod {
-  std::int32_t n = 0;
-  PackEntry e[kMaxPack];
+struct PackHead {
+  std::int64_t n = 0;  // entries that follow
 };
 
-constexpr std::size_t pack_size(int n) {
-  return offsetof(PackPod, e) +
-         static_cast<std::size_t>(n) * sizeof(PackEntry);
+constexpr std::size_t pack_bytes(std::int64_t n) {
+  return sizeof(PackHead) + static_cast<std::size_t>(n) * sizeof(PackEntry);
+}
+
+PackEntry* pack_entries(void* payload) {
+  return reinterpret_cast<PackEntry*>(static_cast<PackHead*>(payload) + 1);
+}
+
+const PackEntry* pack_entries(const void* payload) {
+  return reinterpret_cast<const PackEntry*>(
+      static_cast<const PackHead*>(payload) + 1);
 }
 
 PackEntry to_pack_entry(const Value& v, ReduceOp op,
@@ -199,15 +157,15 @@ Value from_pack_entry(const PackEntry& e) {
 }
 
 void pack_combine(void* /*ctx*/, void* lhs, const void* rhs) {
-  auto* a = static_cast<PackPod*>(lhs);
-  const auto* b = static_cast<const PackPod*>(rhs);
+  const std::int64_t n = static_cast<const PackHead*>(lhs)->n;
+  PackEntry* a = pack_entries(lhs);
+  const PackEntry* b = pack_entries(rhs);
   static const lang::SourceLoc kNoLoc{};
-  for (std::int32_t i = 0; i < a->n; ++i) {
-    PackEntry& x = a->e[i];
-    const PackEntry& y = b->e[i];
+  for (std::int64_t i = 0; i < n; ++i) {
+    PackEntry& x = a[i];
     const Value combined =
-        combine_values(static_cast<ReduceOp>(y.op), from_pack_entry(x),
-                       from_pack_entry(y), kNoLoc);
+        combine_values(static_cast<ReduceOp>(b[i].op), from_pack_entry(x),
+                       from_pack_entry(b[i]), kNoLoc);
     switch (x.tag) {
       case 1: x.u.f = combined.as_f64(); break;
       case 2: x.u.b = combined.as_bool(); break;
@@ -282,9 +240,13 @@ class Exec {
           // A run of adjacent reduction combines (head carries the run
           // length) becomes ONE packed rendezvous instead of one per
           // variable; see exec_reduce_pack.
-          if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack > 1 &&
+          if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack >= 1 &&
               i + static_cast<std::size_t>(s.red_pack) <= stmt.stmts.size()) {
-            exec_reduce_pack(stmt.stmts, i, s.red_pack);
+            std::vector<const Stmt*> run;
+            for (int k = 0; k < s.red_pack; ++k) {
+              run.push_back(stmt.stmts[i + static_cast<std::size_t>(k)].get());
+            }
+            exec_reduce_pack(run);
             i += static_cast<std::size_t>(s.red_pack) - 1;
             continue;
           }
@@ -385,24 +347,26 @@ class Exec {
         ts.team->ordered_exit(ts, index);
         return f;
       }
-      case Stmt::Kind::kOmpReductionInit:
-        bind(stmt.symbol, identity_value(stmt.reduce_op, stmt.symbol->type));
-        return Flow::kNormal;
-      case Stmt::Kind::kOmpReductionCombine: {
-        // Team tree rendezvous (runtime/reduce.h): the winner alone folds the
-        // combined partials into the shared target, and the construct's
-        // ensuing barrier (join or explicit) publishes the write — no lock.
-        Cell target = cell_of(stmt.target_symbol, stmt.loc);
-        const Cell local = cell_of(stmt.symbol, stmt.loc);
-        rt::ThreadState& ts = rt::current_thread();
-        RedPod pod = to_pod(*local, stmt.reduce_op, stmt.loc);
-        if (ts.team->reduce_combine(ts, &pod, sizeof(pod), &pod_combine,
-                                    nullptr, /*broadcast=*/false)) {
-          *target =
-              combine_values(stmt.reduce_op, *target, from_pod(pod), stmt.loc);
+      case Stmt::Kind::kOmpReductionInit: {
+        if (!stmt.rhs) {
+          bind(stmt.symbol, identity_value(stmt.reduce_op, stmt.symbol->type));
+          return Flow::kNormal;
         }
+        // Array section: a private len-element slice of identities.
+        const std::int64_t len = eval(*stmt.rhs).as_i64();
+        if (len < 0) panic(stmt.loc, "negative array-section length");
+        SliceVal acc;
+        acc.data = std::make_shared<std::vector<Value>>(
+            static_cast<std::size_t>(len),
+            identity_value(stmt.reduce_op, stmt.symbol->type.element()));
+        bind(stmt.symbol, Value(std::move(acc)));
         return Flow::kNormal;
       }
+      case Stmt::Kind::kOmpReductionCombine:
+        // Combine runs normally arrive through the kBlock case above; a lone
+        // combine is a run of one.
+        exec_reduce_pack({&stmt});
+        return Flow::kNormal;
       case Stmt::Kind::kOmpLastprivateWrite: {
         Cell target = cell_of(stmt.target_symbol, stmt.loc);
         *target = *cell_of(stmt.symbol, stmt.loc);
@@ -429,26 +393,63 @@ class Exec {
     return Flow::kNormal;
   }
 
-  /// One rendezvous for a construct's whole run of `k` reduction combines:
-  /// every member deposits a PackPod of its partials, the tree combines
-  /// field-by-field (each with its own operator), and the winner alone folds
-  /// every field into its shared target.
-  void exec_reduce_pack(const std::vector<lang::StmtPtr>& stmts,
-                        std::size_t begin, int k) {
+  /// One rendezvous for a construct's whole run of reduction combines:
+  /// every member deposits one payload of all its partials (scalars and
+  /// array-section elements), the tree combines entry by entry (each with
+  /// its own operator), and the winner alone folds every entry into its
+  /// shared target; the construct's ensuing barrier (join or explicit)
+  /// publishes the writes — no lock.
+  void exec_reduce_pack(const std::vector<const Stmt*>& run) {
     rt::ThreadState& ts = rt::current_thread();
-    PackPod pod;
-    pod.n = k;
-    for (int i = 0; i < k; ++i) {
-      const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-      pod.e[i] = to_pack_entry(*cell_of(s.symbol, s.loc), s.reduce_op, s.loc);
+    std::vector<Cell> locals;
+    std::int64_t n = 0;
+    for (const Stmt* s : run) {
+      locals.push_back(cell_of(s->symbol, s->loc));
+      n += s->rhs ? locals.back()->as_slice().len() : 1;
     }
-    if (ts.team->reduce_combine(ts, &pod, pack_size(k), &pack_combine,
-                                nullptr, /*broadcast=*/false)) {
-      for (int i = 0; i < k; ++i) {
-        const Stmt& s = *stmts[begin + static_cast<std::size_t>(i)];
-        Cell target = cell_of(s.target_symbol, s.loc);
-        *target = combine_values(s.reduce_op, *target, from_pack_entry(pod.e[i]),
-                                 s.loc);
+    // Heap storage is suitably aligned for both the head and the entries.
+    std::vector<unsigned char> storage(pack_bytes(n));
+    new (storage.data()) PackHead{n};
+    PackEntry* entries = pack_entries(storage.data());
+    std::int64_t at = 0;
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      const Stmt& s = *run[k];
+      if (!s.rhs) {
+        new (&entries[at++])
+            PackEntry(to_pack_entry(*locals[k], s.reduce_op, s.loc));
+        continue;
+      }
+      for (const Value& v : *locals[k]->as_slice().data) {
+        new (&entries[at++]) PackEntry(to_pack_entry(v, s.reduce_op, s.loc));
+      }
+    }
+    if (!ts.team->reduce_combine(ts, storage.data(), pack_bytes(n),
+                                 &pack_combine, nullptr,
+                                 /*broadcast=*/false)) {
+      return;
+    }
+    at = 0;
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      const Stmt& s = *run[k];
+      Cell target = cell_of(s.target_symbol, s.loc);
+      if (!s.rhs) {
+        *target = combine_values(s.reduce_op, *target,
+                                 from_pack_entry(entries[at++]), s.loc);
+        continue;
+      }
+      const std::int64_t lo = eval(*s.expr).as_i64();
+      const std::int64_t len = locals[k]->as_slice().len();
+      std::vector<Value>& data = *target->as_slice().data;
+      if (lo < 0 || lo + len > static_cast<std::int64_t>(data.size())) {
+        panic(s.loc, "array section [" + std::to_string(lo) + ":" +
+                         std::to_string(len) + "] out of bounds of '" +
+                         s.target + "' (len " + std::to_string(data.size()) +
+                         ")");
+      }
+      for (std::int64_t j = 0; j < len; ++j) {
+        Value& cell = data[static_cast<std::size_t>(lo + j)];
+        cell = combine_values(s.reduce_op, cell, from_pack_entry(entries[at++]),
+                              s.loc);
       }
     }
   }

@@ -192,6 +192,16 @@ std::string dump_expr(const Expr& expr) {
   return out.str();
 }
 
+namespace {
+
+/// " [lo:len]" for an array-section reduction init/combine, "" otherwise.
+std::string section_suffix(const Stmt& stmt) {
+  if (!stmt.rhs) return "";
+  return " [" + dump_expr(*stmt.expr) + ':' + dump_expr(*stmt.rhs) + ']';
+}
+
+}  // namespace
+
 std::string dump_stmt(const Stmt& stmt, int indent) {
   std::ostringstream out;
   const std::string pad = indent_str(indent);
@@ -256,6 +266,7 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
         out << " [" << c.name << ' ' << capture_mode_name(c.mode);
         if (c.mode == CaptureMode::kReductionPtr) {
           out << ' ' << reduce_op_spelling(c.reduce_op);
+          if (c.section) out << " section";
         }
         out << ']';
       }
@@ -314,11 +325,12 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
     case Stmt::Kind::kOmpReductionInit:
       out << pad << "(omp-red-init " << stmt.name << ' '
           << reduce_op_spelling(stmt.reduce_op) << " from " << stmt.target
-          << ")\n";
+          << section_suffix(stmt) << ")\n";
       break;
     case Stmt::Kind::kOmpReductionCombine:
       out << pad << "(omp-red-combine " << stmt.target << ' '
-          << reduce_op_spelling(stmt.reduce_op) << ' ' << stmt.name << ")\n";
+          << reduce_op_spelling(stmt.reduce_op) << ' ' << stmt.name
+          << section_suffix(stmt) << ")\n";
       break;
     case Stmt::Kind::kOmpLastprivateWrite:
       out << pad << "(omp-lastprivate " << stmt.target << " = " << stmt.name

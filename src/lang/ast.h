@@ -141,6 +141,9 @@ struct CaptureArg {
   CaptureMode mode = CaptureMode::kSharedPtr;
   ReduceOp reduce_op = ReduceOp::kAdd;  ///< for kReductionPtr
   Symbol* symbol = nullptr;             ///< enclosing-scope symbol (sema)
+  /// kReductionPtr only: the target is an array section `name[lo:len]` of a
+  /// slice (the private accumulator is a section-sized slice).
+  bool section = false;
 };
 
 /// Schedule request recorded on a worksharing loop. The chunk is an
@@ -329,16 +332,21 @@ struct Stmt {
 
   // kOmpReductionInit / kOmpReductionCombine / kOmpLastprivateWrite:
   // `name` = private local, `target` = pointer parameter name.
+  // Array-section reductions (`reduction(op: q[lo:len])`) also set, on both
+  // the init and the combine, `expr` = lo and `rhs` = len: i64 expressions
+  // over values fixed at construct entry (literals or synthesized consts).
+  // The private local is then a len-element slice; element j accumulates
+  // target[lo + j], and the region body indexes it at `i - lo`.
   std::string target;
   ReduceOp reduce_op = ReduceOp::kAdd;
   Symbol* target_symbol = nullptr;  // sema
 
   /// kOmpReductionCombine only: multi-variable packing (reduce.h). On the
   /// FIRST combine of a construct's consecutive combine run, the number of
-  /// combines in the run (>= 1); 0 on the others. Backends lower a run with
-  /// head red_pack > 1 as ONE zomp_reduce rendezvous over a struct payload
-  /// of all the partials instead of one rendezvous per variable. Set by the
-  /// directive engine, which emits each construct's combines adjacently.
+  /// combines in the run (>= 1); 0 on the others. Backends lower each run
+  /// as ONE zomp_reduce rendezvous over a payload packing every scalar
+  /// partial and every array-section partial. Set by the directive engine,
+  /// which emits each construct's combines adjacently.
   int red_pack = 1;
 
   static StmtPtr make(Kind kind, SourceLoc loc);

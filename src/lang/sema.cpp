@@ -340,6 +340,8 @@ class Sema {
         Type type = Type::invalid();
         if (target == nullptr) {
           diags_.error(stmt.loc, "unknown reduction target '" + stmt.target + "'");
+        } else if (stmt.rhs) {
+          type = check_section_reduction(stmt, target->type);
         } else {
           type = target->type;
           if (!type.is_numeric() &&
@@ -362,10 +364,13 @@ class Sema {
         if (local == nullptr) {
           diags_.error(stmt.loc, "unknown local '" + stmt.name + "'");
         }
+        if (stmt.rhs) check_section_bounds(stmt);
         if (target == nullptr) {
           diags_.error(stmt.loc, "unknown combine/writeback target '" +
                                      stmt.target + "'");
-        } else if (target->is_const) {
+        } else if (target->is_const && !stmt.rhs) {
+          // (An array-section combine writes elements, not the slice
+          // header, so a const slice binding is a fine target.)
           diags_.error(stmt.loc, "combine/writeback target '" + stmt.target +
                                      "' is const");
         } else if (local != nullptr && target->type != local->type) {
@@ -377,6 +382,50 @@ class Sema {
         break;
       }
     }
+  }
+
+  /// The i64 bounds of an array-section reduction init/combine.
+  void check_section_bounds(Stmt& stmt) {
+    for (Expr* bound : {stmt.expr.get(), stmt.rhs.get()}) {
+      const Type t = check_expr(*bound);
+      if (!t.is_invalid() && !t.is_i64()) {
+        diags_.error(bound->loc, "array-section bounds must be i64");
+      }
+    }
+  }
+
+  /// Types the private accumulator of `reduction(op: name[lo:len])`: the
+  /// target must be a slice of i64 or f64, and the operator must be
+  /// arithmetic (min/max included) or, on i64 elements, bitwise.
+  Type check_section_reduction(Stmt& stmt, const Type& target) {
+    check_section_bounds(stmt);
+    // Parallel-level targets ride in the transform's `<name>__red` parameter;
+    // diagnostics name the user's variable.
+    std::string user = stmt.target;
+    if (user.ends_with("__red")) user.resize(user.size() - 5);
+    const std::string what = "array-section reduction over '" + user + "'";
+    if (!target.is_slice() || !(target.element().is_i64() ||
+                                target.element().is_f64())) {
+      diags_.error(stmt.loc, what + " needs a slice of i64 or f64, not " +
+                                 target.to_string());
+      return Type::invalid();
+    }
+    const ReduceOp op = stmt.reduce_op;
+    if (op == ReduceOp::kLogAnd || op == ReduceOp::kLogOr) {
+      diags_.error(stmt.loc, std::string("operator '") +
+                                 reduce_op_spelling(op) +
+                                 "' is not supported on " + what);
+      return Type::invalid();
+    }
+    if (target.element().is_f64() &&
+        (op == ReduceOp::kBitAnd || op == ReduceOp::kBitOr ||
+         op == ReduceOp::kBitXor)) {
+      diags_.error(stmt.loc, std::string("bitwise operator '") +
+                                 reduce_op_spelling(op) + "' needs i64 " +
+                                 "elements on " + what);
+      return Type::invalid();
+    }
+    return target;
   }
 
   /// The closely-nested construct-kind rule for `cancel` / `cancellation
@@ -570,7 +619,21 @@ class Sema {
         }
         break;
       case CaptureMode::kReductionPtr:
-        if (!sym->type.is_numeric()) {
+        if (cap.section) {
+          // Array section: the slice header rides by reference like a
+          // scalar target; the winner's fold writes its elements. The
+          // element type and operator are checked at the region's init.
+          if (!sym->type.is_slice()) {
+            diags_.error(stmt.loc, "array section '" + cap.name +
+                                       "[lo:len]' needs a slice, but '" +
+                                       cap.name + "' is " +
+                                       sym->type.to_string());
+            ok = false;
+          } else {
+            param_type = sym->type;
+            indirect = true;
+          }
+        } else if (!sym->type.is_numeric()) {
           diags_.error(stmt.loc,
                        "reduction variable '" + cap.name + "' must be numeric");
           ok = false;

@@ -21,21 +21,25 @@
 // barrier for `parallel ... reduction`, this rendezvous for the high-level
 // allreduce), down from three in the seed protocol.
 //
-// Values larger than a slot's inline capacity take a per-team fallback lock
-// (still not global): members serialise their combines into the winner's
-// buffer. Construct instances are identified by a per-member sequence number
+// Values larger than a slot's inline capacity take the per-team by-reference
+// fallback: the same tree, but each slot carries a pointer to its member's
+// own buffer, which the consumer reads in place, and members stay until the
+// winner has combined everything. The combine order is the tree's, never the
+// arrival order, so even floating-point results are reproducible for a given
+// team size. Construct instances are identified by a per-member sequence number
 // (same team-wide identity argument as DispatchSlot matching); a `done_seq`
 // epoch gates slot reuse so back-to-back `nowait` reductions cannot overwrite
 // a slot the previous combine is still reading.
 //
 // Multi-variable constructs pack into ONE rendezvous: a directive with k
-// reduction clauses (`reduction(+: a) reduction(max: b) ...`) costs one
-// combine, not k. The directive engine marks the construct's combine run
-// (Stmt::red_pack) and both backends deposit a single struct payload whose
-// fields are the k partials; the combine function applies each variable's
-// operator to its own field. Payloads beyond kSlotBytes transparently take
-// the fallback-lock path — still one rendezvous, never k. The payload is
-// opaque to the tree: `size` and `fn` are simply those of the struct.
+// reduction list items (`reduction(+: a) reduction(max: b, q[0:10]) ...`)
+// costs one combine, not k. The directive engine marks the construct's
+// combine run (Stmt::red_pack) and both backends deposit a single payload
+// holding every scalar partial and every array-section partial; the combine
+// function applies each item's operator to its own fields. Payloads beyond
+// kSlotBytes transparently take the by-reference fallback — still one
+// rendezvous, never k. The payload is opaque to the tree: `size` and `fn`
+// are simply those of the packed payload.
 //
 // The tree belongs to exactly one Team and survives hot-team recycling
 // (pool.h) without any reset: instance sequence numbers are monotonic
@@ -49,7 +53,6 @@
 #include <vector>
 
 #include "runtime/common.h"
-#include "runtime/lock.h"
 
 namespace zomp::rt {
 
@@ -62,7 +65,7 @@ using ReduceCombineFn = void (*)(void* ctx, void* lhs, const void* rhs);
 class ReductionTree {
  public:
   /// Inline payload capacity of one slot: token + data fill exactly one
-  /// cache line. Larger values use the per-team lock fallback.
+  /// cache line. Larger values travel by reference (see the header note).
   static constexpr std::size_t kSlotBytes = kCacheLine - sizeof(std::atomic<u64>);
 
   explicit ReductionTree(i32 n);
@@ -98,30 +101,21 @@ class ReductionTree {
     unsigned char data[kSlotBytes];
   };
 
-  bool combine_tree(i32 tid, u64 seq, void* data, std::size_t size,
-                    ReduceCombineFn fn, void* ctx, bool broadcast);
-  bool combine_fallback(i32 tid, u64 seq, void* data, std::size_t size,
-                        ReduceCombineFn fn, void* ctx, bool broadcast);
-
   const i32 n_;
   std::vector<Slot> slots_;
 
   /// Result area for allreduce, double-buffered by seq parity: readers of
   /// instance k finish before any member deposits for k+1, which the winner
   /// of k+1 must observe before it can write buffer (k+1)&1 == (k-1)&1.
+  /// By-reference payloads publish the winner's buffer instead, and the
+  /// winner waits for every reader's acknowledgement before it returns.
   BroadcastCell broadcast_[2];
   alignas(kCacheLine) std::atomic<u64> broadcast_seq_{0};
+  std::atomic<void*> broadcast_ref_{nullptr};
+  alignas(kCacheLine) std::atomic<i32> broadcast_acks_{0};
 
   /// Highest fully-combined instance; deposits for seq wait for seq-1.
   alignas(kCacheLine) std::atomic<u64> done_seq_{0};
-
-  // -- Oversized-value fallback (per-team lock, winner's buffer) ------------
-  alignas(kCacheLine) std::atomic<void*> fb_acc_{nullptr};
-  std::atomic<u64> fb_ready_seq_{0};
-  std::atomic<u64> fb_result_seq_{0};
-  alignas(kCacheLine) std::atomic<i32> fb_contributed_{0};
-  alignas(kCacheLine) std::atomic<i32> fb_acked_{0};
-  Lock fb_lock_;
 };
 
 }  // namespace zomp::rt

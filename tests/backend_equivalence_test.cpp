@@ -22,6 +22,8 @@
 #include "npb/nprandom.h"
 #include "reduce_matrix_mz.h"
 #include "runtime/api.h"
+#include "runtime/reduce.h"
+#include "section_hist_mz.h"
 #include "taskgraph_mz.h"
 
 #ifndef ZOMP_SOURCE_DIR
@@ -658,6 +660,142 @@ TEST_P(BackendTaskGraphSweep, TaskgraphKernelAgreesAcrossBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BackendTaskGraphSweep,
+                         ::testing::Values(1, 2, 4, 8));
+
+// -- Array-section reductions (section_hist.mz) ------------------------------
+//
+// `reduction(op: name[lo:len])` on parallel for, standalone for and plain
+// parallel, through both backends and against a serial oracle computed
+// here, at 1/2/4/8 threads under every schedule kind. Elements outside each
+// section must come back untouched.
+
+std::int64_t section_mix(std::int64_t i) {
+  const std::int64_t r = (i * 2654435761LL + 12345) % 1000003;
+  return r < 0 ? r + 1000003 : r;
+}
+
+// Payload sizes of the two packed runs (layouts: codegen's header struct of
+// 8-byte fields plus 8-byte elements; the interpreter's 8-byte count plus
+// one 16-byte entry per scalar or element). peaks_run must ride a tree slot
+// inline in both backends, hist_run must exceed it in both.
+static_assert(8 + 3 * 8 <= zomp::rt::ReductionTree::kSlotBytes &&
+                  8 + 3 * 16 <= zomp::rt::ReductionTree::kSlotBytes,
+              "peaks_run's max section must fit a reduction-tree slot");
+static_assert(3 * 8 + (8 + 4) * 8 > zomp::rt::ReductionTree::kSlotBytes &&
+                  8 + (1 + 8 + 4) * 16 > zomp::rt::ReductionTree::kSlotBytes,
+              "hist_run's packed payload must take the by-reference path");
+
+class BackendSectionSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(BackendSectionSweep, SectionReductionsAgreeWithSerialOracle) {
+  const int threads = GetParam();
+  auto result = core::compile_source(read_kernel("section_hist.mz"),
+                                     {true, "section_hist_interp"});
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  Interp interp(*result.module);
+  zomp::set_num_threads(threads);
+
+  constexpr std::int64_t n = 1500, lo = 5, nb = 6;
+  const std::vector<std::int64_t> m0 = {-7, -3, -2, -1, -9};
+  std::vector<std::int64_t> m_want = m0;
+  std::vector<std::int64_t> h_want(16, 0);
+  std::vector<double> w_want(8, 0.5);
+  std::vector<std::int64_t> s0(12);
+  for (std::size_t i = 0; i < s0.size(); ++i) {
+    s0[i] = 100 + static_cast<std::int64_t>(i);
+  }
+  std::vector<std::int64_t> s_want = s0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t k = section_mix(i);
+    auto& m = m_want[static_cast<std::size_t>(1 + i % 3)];
+    m = std::max(m, k % 997);
+    h_want[static_cast<std::size_t>(lo + k % 8)] += 1;
+    auto& w = w_want[static_cast<std::size_t>(2 + k % 4)];
+    w = std::max(w, static_cast<double>(k % 1009));
+    s_want[static_cast<std::size_t>(lo + 1 + k % (nb - 1))] += i;
+  }
+
+  auto to_slice_i64 = [](const std::vector<std::int64_t>& v) {
+    SliceVal s = make_slice_i64(static_cast<std::int64_t>(v.size()));
+    for (std::size_t i = 0; i < v.size(); ++i) (*s.data)[i] = Value(v[i]);
+    return s;
+  };
+  auto from_slice_i64 = [](const SliceVal& s) {
+    std::vector<std::int64_t> v;
+    for (const Value& x : *s.data) v.push_back(x.as_i64());
+    return v;
+  };
+  auto native_i64 = [](std::vector<std::int64_t>& v) {
+    return mz::Slice<std::int64_t>{v.data(),
+                                   static_cast<std::int64_t>(v.size())};
+  };
+
+  for (const ScheduleSweepCase& cs :
+       {ScheduleSweepCase{zomp::rt::ScheduleKind::kStatic, 0, "static"},
+        ScheduleSweepCase{zomp::rt::ScheduleKind::kDynamic, 1, "dynamic,1"},
+        ScheduleSweepCase{zomp::rt::ScheduleKind::kGuided, 0, "guided"}}) {
+    zomp::set_schedule({cs.kind, cs.chunk});
+    const std::string what =
+        std::to_string(threads) + " threads, " + cs.clause;
+
+    // parallel for, max over a 3-element section (inline tree slot).
+    SliceVal im = to_slice_i64(m0);
+    interp.call_by_name("peaks_run", {Value(n), Value(im)});
+    std::vector<std::int64_t> nm = m0;
+    mzgen_section_hist_mz::peaks_run(n, native_i64(nm));
+    EXPECT_EQ(from_slice_i64(im), m_want) << what;
+    EXPECT_EQ(nm, m_want) << what;
+
+    // parallel for, + and max sections plus a scalar in one payload
+    // (by-reference fallback), nonzero lo.
+    SliceVal ih = make_slice_i64(16);
+    SliceVal iw = make_slice_f64(8);
+    for (Value& x : *iw.data) x = Value(0.5);
+    SliceVal ires = make_slice_i64(1);
+    interp.call_by_name(
+        "hist_run", {Value(n), Value(lo), Value(ih), Value(iw), Value(ires)});
+    std::vector<std::int64_t> nh(16, 0), nres(1, 0);
+    std::vector<double> nw(8, 0.5);
+    mzgen_section_hist_mz::hist_run(n, lo, native_i64(nh),
+                                    mz::Slice<double>{nw.data(), 8},
+                                    native_i64(nres));
+    EXPECT_EQ(from_slice_i64(ih), h_want) << what;
+    EXPECT_EQ(nh, h_want) << what;
+    std::vector<double> iw_out;
+    for (const Value& x : *iw.data) iw_out.push_back(x.as_f64());
+    EXPECT_EQ(iw_out, w_want) << what;
+    EXPECT_EQ(nw, w_want) << what;
+    EXPECT_EQ((*ires.data)[0].as_i64(), n) << what;
+    EXPECT_EQ(nres[0], n) << what;
+
+    // standalone for in a region, expression bounds.
+    SliceVal is = to_slice_i64(s0);
+    interp.call_by_name("standalone_run",
+                        {Value(n), Value(lo), Value(nb), Value(is)});
+    std::vector<std::int64_t> ns = s0;
+    mzgen_section_hist_mz::standalone_run(n, lo, nb, native_i64(ns));
+    EXPECT_EQ(from_slice_i64(is), s_want) << what;
+    EXPECT_EQ(ns, s_want) << what;
+
+    // plain parallel: every member adds tid+1 to each section element.
+    SliceVal ir = make_slice_i64(6);
+    SliceVal inth = make_slice_i64(1);
+    interp.call_by_name("region_run", {Value(ir), Value(inth)});
+    std::vector<std::int64_t> nr(6, 0), nnth(1, 0);
+    mzgen_section_hist_mz::region_run(native_i64(nr), native_i64(nnth));
+    for (const auto& [got, team] :
+         {std::pair{from_slice_i64(ir), (*inth.data)[0].as_i64()},
+          std::pair{nr, nnth[0]}}) {
+      EXPECT_EQ(team, threads) << what;
+      const std::int64_t add = team * (team + 1) / 2;
+      EXPECT_EQ(got, (std::vector<std::int64_t>{0, add, add, add, add, 0}))
+          << what;
+    }
+  }
+  zomp::set_schedule({zomp::rt::ScheduleKind::kStatic, 0});
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, BackendSectionSweep,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(BackendEquivalenceTest, EpRandlcInterpretedMatchesHost) {

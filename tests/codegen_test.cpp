@@ -3,10 +3,16 @@
 // dispatch-next loops), honour the safety flag, and expose pub functions.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "codegen/codegen.h"
 #include "core/pipeline.h"
+
+#ifndef ZOMP_SOURCE_DIR
+#define ZOMP_SOURCE_DIR "."
+#endif
 
 namespace zomp::codegen {
 namespace {
@@ -136,6 +142,64 @@ fn f(n: i64) f64 {
   }
   EXPECT_EQ(count, 1u) << "expected exactly one packed rendezvous:\n" << cpp;
   EXPECT_NE(cpp.find("__redpack_"), std::string::npos) << cpp;
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(CodegenTest, SectionReductionPacksWithScalarsIntoOneRendezvous) {
+  // `reduction(+: s, h[lo:4])`: the section gets a private accumulator of
+  // identities, the body indexes it at i - lo, and the scalar and the
+  // section share ONE zomp_reduce payload.
+  const std::string cpp = gen(R"(
+fn f(n: i64, lo: i64, h: []i64) i64 {
+  var s: i64 = 0;
+  //#omp parallel for reduction(+: s, h[lo:4])
+  for (0..n) |i| {
+    h[lo + @mod(i, 4)] += 1;
+    s += i;
+  }
+  return s;
+}
+)");
+  EXPECT_NE(cpp.find("mz::section_acc<std::int64_t>("), std::string::npos)
+      << cpp;
+  EXPECT_NE(cpp.find("- __omp_rs0_lo"), std::string::npos)
+      << "body must index the accumulator at i - lo:\n"
+      << cpp;
+  EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << cpp;
+  EXPECT_NE(cpp.find(", mz::section_at<std::int64_t>(__redhead_"),
+            std::string::npos)
+      << cpp;
+  EXPECT_EQ(cpp.find("zomp_atomic_"), std::string::npos) << cpp;
+}
+
+TEST(CodegenTest, EpKernelBinsWithoutAtomics) {
+  // ep.mz bins its annulus counts through `reduction(+: ..., q[0:10])`:
+  // the transpiled kernel must not pay one atomic per binned pair.
+  std::ifstream in(std::string(ZOMP_SOURCE_DIR) + "/src/npb/kernels/ep.mz");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str().find("//#omp atomic"), std::string::npos);
+  for (const int level : {0, 1}) {
+    core::CompileOptions options;
+    options.module_name = "ep";
+    options.opt_level = level;
+    auto result = core::compile_source(text.str(), options);
+    ASSERT_TRUE(result.ok) << result.diagnostics_text();
+    const std::string cpp = emit_cpp(*result.module, {});
+    EXPECT_EQ(cpp.find("zomp_atomic_"), std::string::npos) << "-O" << level;
+    EXPECT_NE(cpp.find("mz::section_acc<double>("), std::string::npos)
+        << "-O" << level;
+    EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << "-O" << level;
+  }
 }
 
 TEST(CodegenTest, CollapseEmitsOdometerAdvance) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/directive_parser.h"
+#include "core/pipeline.h"
 
 namespace zomp::core {
 namespace {
@@ -100,6 +101,76 @@ TEST(DirectiveParserTest, ReductionErrors) {
   parse_fail(" parallel reduction(%: s)", "reduction operator");
   parse_fail(" parallel reduction(+ s)", "':'");
   parse_fail(" parallel reduction(+:)", "variable names");
+}
+
+TEST(DirectiveParserTest, ReductionArraySections) {
+  auto lit = parse_ok(" parallel for reduction(+: q[0:10])");
+  ASSERT_EQ(lit->reductions.size(), 1u);
+  EXPECT_EQ(lit->reductions[0].vars, std::vector<std::string>{"q"});
+  ASSERT_EQ(lit->reductions[0].sections.size(), 1u);
+  const ReductionSection& q = lit->reductions[0].sections[0];
+  ASSERT_TRUE(q.present());
+  EXPECT_EQ(lang::dump_expr(*q.lo), "0");
+  EXPECT_EQ(lang::dump_expr(*q.len), "10");
+
+  auto expr = parse_ok(" for reduction(max: q[lo:n])");
+  const ReductionSection& e = expr->reductions[0].sections[0];
+  EXPECT_EQ(lang::dump_expr(*e.lo), "lo");
+  EXPECT_EQ(lang::dump_expr(*e.len), "n");
+
+  // An empty lower bound means 0; bounds are full expressions.
+  auto open_lo = parse_ok(" parallel reduction(+: q[:n - 1])");
+  EXPECT_EQ(lang::dump_expr(*open_lo->reductions[0].sections[0].lo), "0");
+  EXPECT_EQ(lang::dump_expr(*open_lo->reductions[0].sections[0].len),
+            "(- n 1)");
+}
+
+TEST(DirectiveParserTest, ReductionMixesScalarsAndSections) {
+  auto d = parse_ok(
+      " parallel for reduction(+: sx, sy, q[0:10]) reduction(max: m[a+1:b])");
+  ASSERT_EQ(d->reductions.size(), 2u);
+  EXPECT_EQ(d->reductions[0].vars,
+            (std::vector<std::string>{"sx", "sy", "q"}));
+  ASSERT_EQ(d->reductions[0].sections.size(), 3u);
+  EXPECT_FALSE(d->reductions[0].sections[0].present());
+  EXPECT_FALSE(d->reductions[0].sections[1].present());
+  EXPECT_TRUE(d->reductions[0].sections[2].present());
+  EXPECT_EQ(d->reductions[1].vars, std::vector<std::string>{"m"});
+  EXPECT_EQ(lang::dump_expr(*d->reductions[1].sections[0].lo), "(+ a 1)");
+}
+
+TEST(DirectiveParserTest, ReductionSectionErrors) {
+  parse_fail(" parallel reduction(+: q[3])", "q[lo:len]");
+  parse_fail(" parallel reduction(+: q[0:])", "missing its length");
+  parse_fail(" parallel reduction(+: q[0:4)", "must end with ']'");
+  parse_fail(" parallel reduction(+: q[0:+])");
+  parse_fail(" parallel reduction(+: q(0:4))", "variable names");
+}
+
+TEST(DirectiveParserTest, ReductionNameTwiceRejected) {
+  parse_fail(" parallel reduction(+: a, a)", "more than once");
+  parse_fail(" parallel for reduction(+: q[0:2]) reduction(max: q[2:2])",
+             "more than once");
+  parse_fail(" for reduction(+: s) reduction(*: s)", "more than once");
+}
+
+TEST(DirectiveParserTest, ReductionSectionOnScalarRejected) {
+  // Types are unknown to the clause parser: sema rejects the section when it
+  // binds the capture (parallel) or the private accumulator (standalone for).
+  for (const char* body :
+       {"  //#omp parallel for reduction(+: s[0:2])\n  for (0..n) |i| {}\n",
+        "  //#omp parallel\n  {\n    //#omp for reduction(+: s[0:2])\n"
+        "    for (0..n) |i| {}\n  }\n"}) {
+    const std::string source = std::string("fn f(n: i64) i64 {\n") +
+                               "  var s: i64 = 0;\n" + body +
+                               "  return s;\n}\n";
+    auto result = compile_source(source);
+    EXPECT_FALSE(result.ok) << source;
+    EXPECT_NE(result.diagnostics_text().find("i64"), std::string::npos)
+        << result.diagnostics_text();
+    EXPECT_NE(result.diagnostics_text().find("slice"), std::string::npos)
+        << result.diagnostics_text();
+  }
 }
 
 TEST(DirectiveParserTest, ScheduleClause) {

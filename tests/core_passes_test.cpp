@@ -364,7 +364,95 @@ pub fn sum_two(n: i64, out: []i64) void {
   EXPECT_EQ(result.pass_stats.regions_fused, 0);
 }
 
+TEST(FusePassTest, SectionReductionTargetReadBySecondRegionBlocksFusion) {
+  // q's section is a reduction target in region 1 and an input of region 2:
+  // region 2 must see the combined bins, which only the join publishes.
+  auto result = compile_at(R"(
+pub fn bins(n: i64, q: []i64, out: []i64) void {
+  var s: i64 = 0;
+  //#omp parallel for reduction(+: q[0:4])
+  for (0..n) |i| {
+    q[@mod(i, 4)] += 1;
+  }
+  //#omp parallel for reduction(+: s)
+  for (0..n) |i| {
+    s += q[@mod(i, 4)];
+  }
+  out[0] = s;
+}
+)",
+                           /*opt_level=*/1);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  EXPECT_EQ(result.pass_stats.regions_fused, 0);
+}
+
+TEST(FusePassTest, MatchingSectionReductionsFuse) {
+  // Two regions reducing into the same literal section with the same
+  // operator share one parameter; the fused body keeps both accumulators.
+  auto result = compile_at(R"(
+pub fn bins(q: []i64) void {
+  //#omp parallel for reduction(+: q[1:4]) num_threads(4)
+  for (0..64) |i| {
+    q[1 + @mod(i, 4)] += 1;
+  }
+  //#omp parallel for reduction(+: q[1:4]) num_threads(4)
+  for (0..64) |i| {
+    q[1 + @mod(i, 4)] += 2;
+  }
+}
+)",
+                           /*opt_level=*/1);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  EXPECT_EQ(result.pass_stats.regions_fused, 1);
+  interp::Interp interp(*result.module);
+  interp::SliceVal q;
+  q.data = std::make_shared<std::vector<interp::Value>>(
+      6, interp::Value(std::int64_t{0}));
+  interp.call_by_name("bins", {interp::Value(q)});
+  for (std::size_t b = 1; b <= 4; ++b) {
+    EXPECT_EQ((*q.data)[b].as_i64(), 16 * 3) << "bin " << b;
+  }
+  EXPECT_EQ((*q.data)[0].as_i64(), 0);
+  EXPECT_EQ((*q.data)[5].as_i64(), 0);
+}
+
+TEST(FoldPassTest, SectionBoundsFoldIntoTheRegion) {
+  // A const lower bound is snapshotted before the fork, captured by value
+  // and folded to a literal inside the outlined body (init, combine and the
+  // shifted body index alike).
+  auto result = compile_at(R"(
+pub fn bins(n: i64, q: []i64) void {
+  const lo: i64 = 2;
+  //#omp parallel for reduction(+: q[lo:3])
+  for (0..n) |i| {
+    q[lo + @mod(i, 3)] += 1;
+  }
+}
+)",
+                           /*opt_level=*/1);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  const std::string after = dump_after(result, "fold");
+  EXPECT_TRUE(contains(after, "(omp-red-init q + from q__red [2:3])")) << after;
+  EXPECT_TRUE(contains(after, "(omp-red-combine q__red + q [2:3])")) << after;
+}
+
 // -- dce-hoist --------------------------------------------------------------
+
+TEST(DceHoistPassTest, KeepsSectionReductionCaptures) {
+  // The body never indexes q, but the combine writes it: the section
+  // target is referenced and must survive dead-capture elimination.
+  auto result = compile_at(R"(
+pub fn bins(n: i64, q: []i64) void {
+  //#omp parallel for reduction(+: q[0:2])
+  for (0..n) |i| {
+  }
+}
+)",
+                           /*opt_level=*/1);
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  EXPECT_TRUE(contains(dump_after(result, "dce-hoist"),
+                       "[q reduction-ptr + section]"));
+}
 
 TEST(DceHoistPassTest, DropsCapturesMadeDeadByFolding) {
   auto result = compile_at(kTwoRegions, /*opt_level=*/1);

@@ -164,6 +164,155 @@ fn f(n: i64) f64 {
   EXPECT_NE(out.find("(omp-barrier)"), std::string::npos);
 }
 
+TEST(TransformTest, SectionReductionSnapshotsBoundsAndShiftsIndices) {
+  const std::string out = transformed_dump(R"(
+fn f(n: i64, lo: i64, q: []f64) void {
+  //#omp parallel for reduction(+: q[lo:4])
+  for (0..n) |i| {
+    q[lo + @mod(i, 4)] += 1.0;
+  }
+}
+)");
+  // lo is evaluated once, before the fork, and rides in by value; the
+  // literal length stays a literal.
+  EXPECT_NE(out.find("(const __omp_rs0_lo = lo)"), std::string::npos) << out;
+  EXPECT_NE(out.find("[__omp_rs0_lo value]"), std::string::npos) << out;
+  EXPECT_NE(out.find("[q reduction-ptr + section]"), std::string::npos) << out;
+  EXPECT_NE(out.find("(omp-red-init q + from q__red [__omp_rs0_lo:4])"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(omp-red-combine q__red + q [__omp_rs0_lo:4])"),
+            std::string::npos)
+      << out;
+  // The body indexes the section accumulator at i - lo.
+  EXPECT_NE(out.find("(index q (- (+ lo (@mod i 4)) __omp_rs0_lo))"),
+            std::string::npos)
+      << out;
+}
+
+TEST(TransformTest, StandaloneForSectionRenamesToPrivateAccumulator) {
+  const std::string out = transformed_dump(R"(
+fn f(n: i64, h: []i64) void {
+  //#omp parallel
+  {
+    //#omp for reduction(max: h[0:n])
+    for (0..n) |i| {
+      h[i] = @max(h[i], i);
+    }
+  }
+}
+)");
+  EXPECT_NE(out.find("(const __omp_rs0_len = n)"), std::string::npos) << out;
+  EXPECT_NE(out.find("(omp-red-init h__prv max from h [0:__omp_rs0_len])"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("(index h__prv i)"), std::string::npos)
+      << "a zero lower bound needs no index shift:\n"
+      << out;
+  EXPECT_NE(out.find("(omp-red-combine h max h__prv [0:__omp_rs0_len])"),
+            std::string::npos)
+      << out;
+}
+
+TEST(TransformTest, SectionTargetMayOnlyBeIndexed) {
+  // The private accumulator covers the section only: whole-array uses of
+  // the variable inside the construct are rejected, not silently retargeted.
+  auto result = compile_source(R"(
+fn f(n: i64, q: []f64) void {
+  //#omp parallel for reduction(+: q[0:4])
+  for (0..n) |i| {
+    q[0] += @floatFromInt(q.len);
+  }
+}
+)");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.diagnostics_text().find("may only be indexed"),
+            std::string::npos)
+      << result.diagnostics_text();
+}
+
+TEST(TransformTest, SectionTargetMayNotBeUsedInsideTask) {
+  // A deferred task could still write the private accumulator after the
+  // construct's combine has run; every way of reaching a task is rejected.
+  const char* sources[] = {
+      // task nested in a parallel region with a section reduction
+      R"(
+fn f(q: []f64) void {
+  //#omp parallel reduction(+: q[1:4])
+  {
+    //#omp task
+    {
+      q[2] += 1.0;
+    }
+  }
+}
+)",
+      // task nested in a standalone `for` with a section reduction
+      R"(
+fn f(n: i64, q: []i64) void {
+  //#omp parallel
+  {
+    //#omp for reduction(+: q[0:4])
+    for (0..n) |i| {
+      //#omp task
+      {
+        q[@mod(i, 4)] += 1;
+      }
+    }
+  }
+}
+)",
+      // taskloop nested in a parallel region with a section reduction
+      R"(
+fn f(n: i64, q: []i64) void {
+  //#omp parallel reduction(+: q[0:4])
+  {
+    //#omp taskloop
+    for (0..n) |i| {
+      q[@mod(i, 4)] += 1;
+    }
+  }
+}
+)",
+      // task stacked on the same statement (outlined before the region)
+      R"(
+fn f(q: []f64) void {
+  //#omp parallel reduction(+: q[0:4])
+  //#omp task
+  {
+    q[0] += 1.0;
+  }
+}
+)",
+  };
+  for (const char* src : sources) {
+    auto result = compile_source(src);
+    EXPECT_FALSE(result.ok) << src;
+    EXPECT_NE(result.diagnostics_text().find("may not be used inside a nested "
+                                             "task"),
+              std::string::npos)
+        << src << result.diagnostics_text();
+  }
+}
+
+TEST(TransformTest, SectionTaskCheckLeavesUnrelatedTasksAlone) {
+  // Tasks that do not touch the section target, and scalar reductions with
+  // tasks, are unaffected.
+  auto result = compile_source(R"(
+fn f(n: i64, q: []f64, w: []f64) void {
+  //#omp parallel reduction(+: q[0:4])
+  {
+    //#omp task
+    {
+      w[0] += 1.0;
+    }
+    q[0] += 1.0;
+  }
+}
+)");
+  EXPECT_TRUE(result.ok) << result.diagnostics_text();
+}
+
 TEST(TransformTest, CombinedParallelForNestsWsLoopInRegion) {
   auto result = compile_source(R"(
 fn f(x: []f64) void {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "core/pipeline.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -217,6 +218,52 @@ TEST(SemaTest, PendingDirectivesWithoutEngineWarnButPass) {
     }
   }
   EXPECT_TRUE(warned);
+}
+
+// -- Array-section reductions (through the directive engine) ---------------------
+
+/// Compiles `reduction(<op>: x[1:2])` over a parameter `x` of type `slice`
+/// (parallel for, and standalone for inside a region) and returns the
+/// diagnostics of the first failing form, or "" when both compile.
+std::string section_diags(const std::string& slice, const std::string& op) {
+  const std::string clause = "reduction(" + op + ": x[1:2])";
+  for (const std::string& body :
+       {"  //#omp parallel for " + clause + "\n  for (0..n) |i| {}\n",
+        "  //#omp parallel\n  {\n    //#omp for " + clause +
+            "\n    for (0..n) |i| {}\n  }\n"}) {
+    auto result = core::compile_source("fn f(n: i64, x: " + slice +
+                                       ") void {\n" + body + "}\n");
+    if (!result.ok) return result.diagnostics_text();
+  }
+  return "";
+}
+
+TEST(SemaTest, SectionReductionNeedsNumericSlice) {
+  EXPECT_EQ(section_diags("[]i64", "+"), "");
+  EXPECT_EQ(section_diags("[]f64", "max"), "");
+  EXPECT_EQ(section_diags("[]i64", "^"), "");
+  const std::string bool_diags = section_diags("[]bool", "+");
+  EXPECT_NE(bool_diags.find("[]bool"), std::string::npos) << bool_diags;
+  EXPECT_NE(bool_diags.find("over 'x'"), std::string::npos) << bool_diags;
+  EXPECT_NE(section_diags("[]f64", "|").find("i64"), std::string::npos);
+}
+
+TEST(SemaTest, SectionReductionRejectsLogicalOperators) {
+  for (const char* op : {"and", "or"}) {
+    const std::string diags = section_diags("[]i64", op);
+    EXPECT_NE(diags.find("not supported"), std::string::npos) << op << diags;
+    EXPECT_NE(diags.find(op), std::string::npos) << diags;
+  }
+}
+
+TEST(SemaTest, SectionBoundsMustBeI64) {
+  auto result = core::compile_source(
+      "fn f(n: i64, x: []i64) void {\n"
+      "  //#omp parallel for reduction(+: x[0:2.0])\n"
+      "  for (0..n) |i| {}\n}\n");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.diagnostics_text().find("must be i64"), std::string::npos)
+      << result.diagnostics_text();
 }
 
 }  // namespace

@@ -33,6 +33,8 @@
 #include "reduce_matrix_mz.h"
 #include "reduce_matrix_mz_o0.h"
 #include "runtime/api.h"
+#include "section_hist_mz.h"
+#include "section_hist_mz_o0.h"
 #include "taskgraph_mz.h"
 #include "taskgraph_mz_o0.h"
 
@@ -209,6 +211,60 @@ TEST_P(OptLevelSweep, EpAgreesAcrossOptLevels) {
   EXPECT_NEAR(res1[0], expect.sx, 1e-7);
   EXPECT_NEAR(res1[1], expect.sy, 1e-7);
   EXPECT_EQ(static_cast<std::int64_t>(res1[2]), expect.pairs_in_disc);
+  // The annulus counts are exact integers in f64: every bin must match the
+  // serial oracle, at both opt levels (they ride the q[0:10] section).
+  for (std::size_t b = 0; b < 10; ++b) {
+    EXPECT_EQ(q0[b], static_cast<double>(expect.q[b]))
+        << "-O0 bin " << b << " at " << threads << " threads";
+    EXPECT_EQ(q1[b], static_cast<double>(expect.q[b]))
+        << "-O1 bin " << b << " at " << threads << " threads";
+  }
+}
+
+TEST_P(OptLevelSweep, SectionHistAgreesAcrossOptLevels) {
+  // Array-section reductions: the optimizer must treat a section target as
+  // written and referenced (fold, fuse and dce-hoist all see it).
+  const int threads = GetParam();
+  zomp::set_num_threads(threads);
+  constexpr std::int64_t n = 700, lo = 3, nb = 5;
+  std::vector<std::int64_t> want_h(12, 0), want_s(10, 1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::int64_t k = (i * 2654435761LL + 12345) % 1000003;
+    want_h[static_cast<std::size_t>(lo + k % 8)] += 1;
+    want_s[static_cast<std::size_t>(lo + 1 + k % (nb - 1))] += i;
+  }
+
+  for (int level = 0; level <= 1; ++level) {
+    auto compiled = compile_kernel("section_hist.mz", level);
+    ASSERT_TRUE(compiled.ok) << compiled.diagnostics_text();
+    Interp interp(*compiled.module);
+    SliceVal h = make_slice_i64(12), w = make_slice_f64(8),
+             res = make_slice_i64(1), st = make_slice_i64(10, 1);
+    interp.call_by_name("hist_run",
+                        {Value(n), Value(lo), Value(h), Value(w), Value(res)});
+    interp.call_by_name("standalone_run",
+                        {Value(n), Value(lo), Value(nb), Value(st)});
+    EXPECT_EQ(to_i64(h), want_h) << "interp -O" << level << ", " << threads;
+    EXPECT_EQ(to_i64(st), want_s) << "interp -O" << level << ", " << threads;
+    EXPECT_EQ(to_i64(res)[0], n);
+  }
+
+  for (int level = 0; level <= 1; ++level) {
+    std::vector<std::int64_t> h(12, 0), res(1, 0), st(10, 1);
+    std::vector<double> w(8, 0.0);
+    if (level == 0) {
+      mzgen_section_hist_mz_o0::hist_run(n, lo, slice_of(h), slice_of(w),
+                                         slice_of(res));
+      mzgen_section_hist_mz_o0::standalone_run(n, lo, nb, slice_of(st));
+    } else {
+      mzgen_section_hist_mz::hist_run(n, lo, slice_of(h), slice_of(w),
+                                      slice_of(res));
+      mzgen_section_hist_mz::standalone_run(n, lo, nb, slice_of(st));
+    }
+    EXPECT_EQ(h, want_h) << "native -O" << level << ", " << threads;
+    EXPECT_EQ(st, want_s) << "native -O" << level << ", " << threads;
+    EXPECT_EQ(res[0], n);
+  }
 }
 
 TEST_P(OptLevelSweep, CgAgreesAcrossOptLevels) {

@@ -702,8 +702,12 @@ TEST(HotTeamAffinityTest, RearmSkipsTheAffinitySyscall) {
 }
 
 TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
+  // A synthetic 4-place table, so the distinct-signature branch runs on any
+  // host (on a 1-CPU machine the binding syscalls are refused; the cache
+  // keys are what this test checks).
   PlaceTableGuard guard;
-  PlaceTable::instance().set_for_test(per_proc_places());
+  PlaceTable::instance().set_for_test(synthetic_places(4));
+  ASSERT_EQ(PlaceTable::instance().num_places(), 4);
   rt::Team* close_team = nullptr;
   rt::Team* spread_team = nullptr;
   ParallelOptions close_opts;
@@ -716,18 +720,14 @@ TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
            close_opts);
   parallel([&] { master([&] { spread_team = rt::current_thread().team; }); },
            spread_opts);
-  if (PlaceTable::instance().num_places() >= 2) {
-    EXPECT_NE(close_team, spread_team)
-        << "binding signature is part of the cache key";
-  }
+  EXPECT_NE(close_team, spread_team)
+      << "binding signature is part of the cache key";
   // Alternating bind kinds now hits both cached entries.
   for (int i = 0; i < 10; ++i) {
     rt::Team* t = nullptr;
     const ParallelOptions& opts = (i % 2 == 0) ? close_opts : spread_opts;
     parallel([&] { master([&] { t = rt::current_thread().team; }); }, opts);
-    if (PlaceTable::instance().num_places() >= 2) {
-      ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
-    }
+    ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
   }
 }
 

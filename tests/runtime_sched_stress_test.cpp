@@ -387,7 +387,7 @@ TEST(SchedStressTest, ReduceEachUnderDynamicScheduleStress) {
 
 TEST(SchedStressTest, OversizedReductionTakesFallbackLockPath) {
   // A payload wider than a slot's inline capacity must route through the
-  // per-team fallback lock, including the broadcast acknowledgement
+  // per-team by-reference fallback, including the broadcast acknowledgement
   // handshake, and still combine exactly once per member.
   struct Big {
     std::int64_t v[16];  // 128 bytes > ReductionTree::kSlotBytes
