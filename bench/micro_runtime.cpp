@@ -1,8 +1,8 @@
 // Ablation A3: runtime-primitive microbenchmarks, EPCC-style (the authors'
 // institution publishes the classic OpenMP overhead suite; this is the zomp
 // equivalent). Measures the primitives the NPB kernels lean on: fork/join,
-// barrier algorithms (centralized vs tree), worksharing dispatch per
-// schedule, reduction, critical sections, locks, and task spawn/drain.
+// worksharing dispatch per schedule, reduction, critical sections, locks,
+// and task spawn/drain.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,14 +20,6 @@
 #include "runtime/runtime.h"
 
 namespace {
-
-using zomp::rt::Barrier;
-using zomp::rt::BarrierKind;
-
-int bench_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 2 : static_cast<int>(hc);
-}
 
 // ---------------------------------------------------------------------------
 // Fork/join before/after (PR 3). The seed region-entry protocol — pool mutex
@@ -317,38 +309,6 @@ ZOMP_BENCHMARK(BM_CancellationPointOverhead)
     ->Args({2, 8})
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(200);
-
-void BM_BarrierCentral(benchmark::State& state) {
-  const int threads = bench_threads();
-  const int rounds = 64;
-  for (auto _ : state) {
-    auto barrier = Barrier::create(BarrierKind::kCentral, threads);
-    zomp::parallel(
-        [&] {
-          const int tid = zomp::thread_num();
-          for (int i = 0; i < rounds; ++i) barrier->wait(tid);
-        },
-        zomp::ParallelOptions{threads, true});
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-ZOMP_BENCHMARK(BM_BarrierCentral)->Unit(benchmark::kMicrosecond)->Iterations(50);
-
-void BM_BarrierTree(benchmark::State& state) {
-  const int threads = bench_threads();
-  const int rounds = 64;
-  for (auto _ : state) {
-    auto barrier = Barrier::create(BarrierKind::kTree, threads);
-    zomp::parallel(
-        [&] {
-          const int tid = zomp::thread_num();
-          for (int i = 0; i < rounds; ++i) barrier->wait(tid);
-        },
-        zomp::ParallelOptions{threads, true});
-  }
-  state.SetItemsProcessed(state.iterations() * rounds);
-}
-ZOMP_BENCHMARK(BM_BarrierTree)->Unit(benchmark::kMicrosecond)->Iterations(50);
 
 void BM_WorksharingDispatch(benchmark::State& state) {
   // kind: 0 static, 1 dynamic, 2 guided; iterations fixed, chunk varies.

@@ -331,11 +331,14 @@ double zomp_get_wtick(void);
 // synchronously on the emitting thread, OMPT-5.2 style but over one uniform
 // callback signature (event id + thread identity + two event-specific i64
 // args, matching the trace-record payload). Disabled-mode cost contract:
-// with no callback installed and ZOMP_TRACE unset, every hook site in the
-// runtime is one relaxed atomic load.
+// with no callback installed and ZOMP_TRACE and ZOMP_METRICS unset, every
+// hook site in the runtime is one relaxed atomic load.
 //
 // Event ids mirror zomp::rt::TraceEv (trace.h) value-for-value; arg0/arg1
-// meanings are documented on the enumerators there.
+// meanings are documented on the enumerators there. BARRIER_ENTER /
+// BARRIER_WAIT_END pair LIFO per thread: a nested region forked from a task
+// drained inside a barrier opens and closes its barriers within that
+// episode. ZOMP_METRICS times barrier waits from exactly this pairing.
 enum : std::int32_t {
   ZOMP_EV_PARALLEL_BEGIN = 0,
   ZOMP_EV_PARALLEL_END = 1,
@@ -352,7 +355,9 @@ enum : std::int32_t {
   ZOMP_EV_STEAL_SUCCESS = 12,
   ZOMP_EV_CANCEL = 13,
   ZOMP_EV_FAULT = 14,
-  ZOMP_EV_COUNT = 15,
+  ZOMP_EV_MAILBOX_PULL = 15,
+  ZOMP_EV_HOT_TEAM = 16,
+  ZOMP_EV_COUNT = 17,
 };
 
 /// Callback signature: `gtid` is the process-wide thread id, `tid` the id
@@ -389,8 +394,8 @@ zomp_tool_callback_t zomp_get_callback(std::int32_t event);
 /// the write failed.
 std::int32_t zomp_trace_flush(void);
 
-/// zomp::team_stats() twin (the PR 6 StealStats totals + S12 counters for
-/// the caller's innermost team). Same quiescent-read contract.
+/// zomp::team_stats() twin: counted only under ZOMP_METRICS=true (zero
+/// otherwise). Same quiescent-read contract.
 struct zomp_team_stats_t {
   std::int64_t steal_attempts;
   std::int64_t steal_lost;

@@ -192,14 +192,17 @@ double wtick() {
 }
 
 TeamStats team_stats() {
-  const rt::StealStats total = current_thread().team->tasks().stats_total();
+  const rt::Team& team = *current_thread().team;
+  auto total = [&](rt::Metric m) {
+    return static_cast<rt::i64>(team.count_total(m));
+  };
   TeamStats out;
-  out.steal_attempts = static_cast<rt::i64>(total.steal_attempts);
-  out.steal_lost = static_cast<rt::i64>(total.steal_lost);
-  out.mailbox_pulls = static_cast<rt::i64>(total.mailbox_pulls);
-  out.tasks_executed = static_cast<rt::i64>(total.tasks_executed);
-  out.dispatch_claims = static_cast<rt::i64>(total.dispatch_claims);
-  out.barrier_episodes = static_cast<rt::i64>(total.barrier_episodes);
+  out.steal_attempts = total(rt::Metric::kStealAttempts);
+  out.steal_lost = total(rt::Metric::kStealLost);
+  out.mailbox_pulls = total(rt::Metric::kMailboxPulls);
+  out.tasks_executed = total(rt::Metric::kTasksExecuted);
+  out.dispatch_claims = total(rt::Metric::kDispatchClaims);
+  out.barrier_episodes = total(rt::Metric::kBarrierEpisodes);
   return out;
 }
 

@@ -122,10 +122,11 @@ double wtime();
 double wtick();
 
 /// Innermost team scheduling telemetry (DESIGN.md S12): the per-member
-/// StealStats totals, summed across the team. Accumulates across hot-team
-/// reuses of the same team object. Quiescent-read contract: call from a
-/// point where no sibling is mid-region (after a barrier, or outside the
-/// region on the master) — the per-member entries are plain fields.
+/// counts summed across the team. They accumulate only under
+/// ZOMP_METRICS=true (zero otherwise), across hot-team reuses of the same
+/// team object. Quiescent-read contract: call from a point where no sibling
+/// is mid-region (after a barrier, or outside the region on the master) —
+/// the per-member entries are plain fields.
 struct TeamStats {
   rt::i64 steal_attempts = 0;
   rt::i64 steal_lost = 0;

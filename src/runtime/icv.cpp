@@ -139,7 +139,7 @@ void GlobalIcv::display_env(bool verbose) const {
     // malformed value (warned above through the env funnel) reads as off.
     std::fprintf(out, "  ZOMP_TRACE = '%s'\n", trace_output_path().c_str());
     std::fprintf(out, "  ZOMP_METRICS = '%s'\n",
-                 metrics_enabled() ? "TRUE" : "FALSE");
+                 trace_counters_enabled() ? "TRUE" : "FALSE");
   }
   std::fprintf(out, "OPENMP DISPLAY ENVIRONMENT END\n");
 }

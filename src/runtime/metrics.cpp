@@ -1,24 +1,41 @@
 #include "runtime/metrics.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "runtime/env.h"
 #include "runtime/fault.h"
+#include "runtime/team.h"
 
 namespace zomp::rt {
-namespace metrics_detail {
-
-std::atomic<u32> g_enabled{0};
-std::atomic<u64> g_counters[static_cast<i32>(Metric::kCount)] = {};
-
-}  // namespace metrics_detail
-
 namespace {
 
+std::atomic<u64> g_counters[static_cast<i32>(Metric::kCount)] = {};
 std::atomic<u64> g_shard_claims[kMetricsMaxShards] = {};
 std::atomic<bool> g_atexit_registered{false};
+
+/// Enter stamps of this thread's open barrier episodes, innermost last. A
+/// stack, not one slot: a task drained inside a barrier may fork a nested
+/// region whose join barrier opens and closes before the outer one ends.
+thread_local std::vector<u64> tls_wait_stamps;
+
+u64 monotonic_ns() {
+  return static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+void bump(MemberCounts& mine, Metric m, u64 delta = 1) noexcept {
+  const auto i = static_cast<i32>(m);
+  g_counters[i].fetch_add(delta, std::memory_order_relaxed);
+  mine.v[i] += delta;
+}
 
 const char* metric_name(Metric m) {
   switch (m) {
@@ -45,28 +62,70 @@ void atexit_report() {
 
 }  // namespace
 
-void metrics_note_shard_claim(i32 shard) noexcept {
-  if (!metrics_enabled()) return;
-  metrics_detail::g_counters[static_cast<i32>(Metric::kDispatchClaims)]
-      .fetch_add(1, std::memory_order_relaxed);
-  if (shard < 0) shard = 0;
-  if (shard >= kMetricsMaxShards) shard = kMetricsMaxShards - 1;
-  g_shard_claims[shard].fetch_add(1, std::memory_order_relaxed);
+namespace metrics_detail {
+
+void consume(TraceEv ev, i64 arg0, i64 arg1, i32 lane,
+             ThreadState& ts) noexcept {
+  MemberCounts& mine = ts.team->member_counts(ts.tid);
+  switch (ev) {
+    case TraceEv::kParallelBegin:
+      bump(mine, Metric::kParallelRegions);
+      break;
+    case TraceEv::kHotTeam:
+      bump(mine, arg0 != 0 ? Metric::kHotTeamHits : Metric::kHotTeamRebuilds);
+      break;
+    case TraceEv::kBarrierEnter:
+      bump(mine, Metric::kBarrierEpisodes);
+      tls_wait_stamps.push_back(monotonic_ns());
+      break;
+    case TraceEv::kBarrierWaitEnd:
+      // No stamp: the consumer was armed mid-episode; skip the partial wait.
+      if (!tls_wait_stamps.empty()) {
+        bump(mine, Metric::kBarrierWaitNs,
+             monotonic_ns() - tls_wait_stamps.back());
+        tls_wait_stamps.pop_back();
+      }
+      break;
+    case TraceEv::kDispatchClaim:
+      bump(mine, Metric::kDispatchClaims);
+      g_shard_claims[std::clamp(lane, 0, kMetricsMaxShards - 1)].fetch_add(
+          1, std::memory_order_relaxed);
+      break;
+    case TraceEv::kTaskComplete:
+      bump(mine, Metric::kTasksExecuted);
+      break;
+    case TraceEv::kStealAttempt:
+      bump(mine, Metric::kStealAttempts);
+      if (arg1 != 0) bump(mine, Metric::kStealLost);
+      break;
+    case TraceEv::kStealSuccess:
+      bump(mine, Metric::kTasksStolen);
+      break;
+    case TraceEv::kMailboxPull:
+      bump(mine, Metric::kMailboxPulls);
+      break;
+    case TraceEv::kCancel:
+      bump(mine, Metric::kCancellations);
+      break;
+    default:
+      break;
+  }
 }
+
+}  // namespace metrics_detail
 
 void metrics_init_from_env() {
   // env_bool warns through warn_malformed_env on unparseable values and
   // falls back to the default (off), so a bad ZOMP_METRICS degrades to the
   // zero-cost path rather than failing startup.
   if (!env_bool("METRICS").value_or(false)) return;
-  metrics_detail::g_enabled.store(1, std::memory_order_relaxed);
+  trace_detail::set_active(trace_detail::kActiveCounters, true);
   if (!g_atexit_registered.exchange(true)) std::atexit(atexit_report);
 }
 
 u64 metrics_value(Metric m) noexcept {
   if (m < Metric::kParallelRegions || m >= Metric::kCount) return 0;
-  return metrics_detail::g_counters[static_cast<i32>(m)].load(
-      std::memory_order_relaxed);
+  return g_counters[static_cast<i32>(m)].load(std::memory_order_relaxed);
 }
 
 u64 metrics_shard_claims(i32 shard) noexcept {
@@ -103,13 +162,11 @@ std::string metrics_report() {
 }
 
 void metrics_set_enabled_for_test(bool on) {
-  metrics_detail::g_enabled.store(on ? 1u : 0u, std::memory_order_relaxed);
+  trace_detail::set_active(trace_detail::kActiveCounters, on);
 }
 
 void metrics_reset_for_test() {
-  for (auto& c : metrics_detail::g_counters) {
-    c.store(0, std::memory_order_relaxed);
-  }
+  for (auto& c : g_counters) c.store(0, std::memory_order_relaxed);
   for (auto& c : g_shard_claims) c.store(0, std::memory_order_relaxed);
 }
 

@@ -1,27 +1,23 @@
-// Process-wide metrics registry (DESIGN.md S12).
-//
-// A flat table of relaxed atomic counters bumped at the same hook sites the
-// tracer instruments, plus a per-shard dispatch-claim breakdown. Where the
-// per-team StealStats (task.h) answer "what did THIS team's schedule look
-// like" and die with the team, the registry aggregates across every team,
-// rearm, and nesting level for the whole process lifetime.
-//
-// Cost contract (same as trace_emit and PR 8's cancellation points): with
-// ZOMP_METRICS unset, every metrics_add is one relaxed flag load and a
-// predicted branch. Counter increments are relaxed fetch_adds — hot sites
-// (chunk claims, steals) tolerate that; nothing here orders anything.
+// Process-wide metrics registry (DESIGN.md S12): the counter consumer of the
+// trace event stream. Hook sites call nothing here: with ZOMP_METRICS on,
+// trace_emit's slow path hands each event to metrics_detail::consume, which
+// bumps the relaxed-atomic registry and the emitting member's per-team
+// MemberCounts (zomp::team_stats()). Off, a hook site pays only trace_emit's
+// one relaxed load, and per-team counts stay zero.
 //
 // With ZOMP_METRICS=true a libomp-fenced report (the OMP_DISPLAY_ENV
 // BEGIN/END framing convention) is written to stderr at process exit; tests
 // and tools can pull metrics_report() / metrics_value() directly.
 #pragma once
 
-#include <atomic>
 #include <string>
 
 #include "runtime/common.h"
+#include "runtime/trace.h"
 
 namespace zomp::rt {
+
+struct ThreadState;
 
 enum class Metric : i32 {
   kParallelRegions = 0,   ///< forks entering run_region (all sizes)
@@ -39,34 +35,26 @@ enum class Metric : i32 {
   kCount = 12,
 };
 
-namespace metrics_detail {
-
-extern std::atomic<u32> g_enabled;
-extern std::atomic<u64> g_counters[static_cast<i32>(Metric::kCount)];
-
-}  // namespace metrics_detail
+/// One team member's counts, indexed by Metric. Owner-write: only the member
+/// itself bumps its block, with plain stores; readers sum the blocks after a
+/// barrier or the join (Team::count_total).
+struct alignas(kCacheLine) MemberCounts {
+  u64 v[static_cast<i32>(Metric::kCount)] = {};
+};
 
 /// Upper bound on distinguished shard lanes in the per-shard claim
 /// breakdown; claims from higher shard indexes fold into the last lane.
 inline constexpr i32 kMetricsMaxShards = 16;
 
-/// The disabled-mode gate: one relaxed load.
-inline bool metrics_enabled() noexcept {
-  return metrics_detail::g_enabled.load(std::memory_order_relaxed) != 0;
-}
+namespace metrics_detail {
 
-/// Bump `m` by `delta` when metrics are on. The hook the runtime layers
-/// call; self-gating, so call sites stay one line.
-inline void metrics_add(Metric m, u64 delta = 1) noexcept {
-  if (!metrics_enabled()) return;
-  metrics_detail::g_counters[static_cast<i32>(m)].fetch_add(
-      delta, std::memory_order_relaxed);
-}
+/// The counter consumer: folds one event into the registry and into `ts`'s
+/// MemberCounts in its innermost team. `lane` is the claim hook's serving
+/// shard. Barrier wait is timed from each enter / wait-end pair.
+void consume(TraceEv ev, i64 arg0, i64 arg1, i32 lane,
+             ThreadState& ts) noexcept;
 
-/// A dispatch chunk claim served from shard `shard` (worksharing.cpp serve
-/// paths — own-slab, steal_slab victim, and the static/guided cursors).
-/// Counts kDispatchClaims plus the per-shard lane.
-void metrics_note_shard_claim(i32 shard) noexcept;
+}  // namespace metrics_detail
 
 /// Seeds the registry from ZOMP_METRICS (env_bool semantics; malformed
 /// values warn through the env funnel and read as false) and registers the
@@ -82,7 +70,7 @@ u64 metrics_shard_claims(i32 shard) noexcept;
 /// fault-injection site counts (pulled from fault.cpp at render time).
 std::string metrics_report();
 
-/// Test hooks: force the enable flag; zero every counter.
+/// Test hooks: arm/disarm the counter consumer; zero the registry.
 void metrics_set_enabled_for_test(bool on);
 void metrics_reset_for_test();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "runtime/fault.h"
-#include "runtime/metrics.h"
 #include "runtime/trace.h"
 
 namespace zomp::rt {
@@ -303,13 +302,14 @@ void closure_trampoline(i32 /*gtid*/, i32 /*tid*/, void** args) {
 /// worker, run the master's share, join, and wait for the last member's
 /// check-out. Brackets the region with the oversubscription census
 /// (common.h) so every wait primitive sees the *currently running* worker
-/// count.
+/// count. `hot_hit` says whether fork_call served the team from the hot
+/// cache; it rides on the kHotTeam event inside the parallel bracket.
 void run_region(Team& team, const std::vector<Worker*>& workers, Microtask fn,
-                void** args, ThreadState& master) {
+                void** args, ThreadState& master, bool hot_hit) {
   const i32 n = static_cast<i32>(workers.size());
   if (n > 0) note_active_workers(n);
   trace_emit(TraceEv::kParallelBegin, team.size(), team.level());
-  metrics_add(Metric::kParallelRegions);
+  trace_emit(TraceEv::kHotTeam, hot_hit ? 1 : 0);
   for (std::size_t i = 0; i < workers.size(); ++i) {
     workers[i]->assign(&team, static_cast<i32>(i) + 1, fn, args);
   }
@@ -412,7 +412,6 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
     // pool traffic, no allocation. The binding plan is keyed by bind_sig,
     // so it carries over untouched and bind_member skips the setaffinity
     // syscall on every member (place unchanged).
-    metrics_add(Metric::kHotTeamHits);
     const SavedBinding saved = save(ts);
     Team& team = *hit->team;
     team.rearm(child_icv, parent_level + 1,
@@ -423,7 +422,7 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
     team.set_parent(saved.team);
     hit->last_use = ++ts.hot_tick;
     hit->in_use = true;  // nested forks must not evict a running ancestor
-    run_region(team, hit->workers, fn, args, ts);
+    run_region(team, hit->workers, fn, args, ts, /*hot_hit=*/true);
     hit->in_use = false;
     team.checkpoint_master();  // before restore clobbers the master's counters
     restore(ts, saved);
@@ -434,7 +433,6 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
   // its workers are back on the idle stack for deterministic reuse. Prefer
   // the slot a forced growth retry is rebuilding, then an empty slot, then
   // the least recently used.
-  metrics_add(Metric::kHotTeamRebuilds);
   HotSlot* victim = hit;  // non-null only on a forced growth retry
   if (cacheable) {
     if (victim == nullptr) {
@@ -515,14 +513,15 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
     victim->undersized_reuses = 0;
     victim->last_use = ++ts.hot_tick;
     victim->in_use = true;
-    run_region(*victim->team, victim->workers, fn, args, ts);
+    run_region(*victim->team, victim->workers, fn, args, ts,
+               /*hot_hit=*/false);
     victim->in_use = false;
     victim->team->checkpoint_master();
     restore(ts, saved);
     return;
   }
 
-  run_region(*team, workers, fn, args, ts);
+  run_region(*team, workers, fn, args, ts, /*hot_hit=*/false);
   team.reset();
   Pool::instance().release(workers);
   restore(ts, saved);

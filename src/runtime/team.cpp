@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <thread>
@@ -16,7 +15,6 @@
 #endif
 
 #include "runtime/fault.h"
-#include "runtime/metrics.h"
 #include "runtime/topology.h"
 #include "runtime/trace.h"
 
@@ -25,15 +23,6 @@ namespace zomp::rt {
 namespace {
 
 thread_local ThreadState* tls_state = nullptr;
-
-/// Steady-clock nanoseconds for the barrier wait-time metric. Only read
-/// when ZOMP_METRICS is on, so the vdso call stays off the default path.
-u64 monotonic_ns() {
-  return static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::atomic<i32>& gtid_counter() {
   static std::atomic<i32> counter{0};
@@ -130,6 +119,7 @@ Team::Team(std::vector<ThreadState*> members, Icv icv, i32 level,
       active_level_(active_level),
       implicit_ctx_(members_.size()),
       tasks_(static_cast<i32>(members_.size())),
+      counts_(members_.size()),
       reduce_tree_(static_cast<i32>(members_.size())),
       phase_sync_(static_cast<i32>(members_.size())) {
   ZOMP_CHECK(!members_.empty(), "team must have at least one member");
@@ -185,6 +175,12 @@ void Team::checkpoint_master() {
   master_single_seq_ = master.single_seq;
   master_red_seq_ = master.red_seq;
   master_phase_seq_ = master.phase_seq;
+}
+
+u64 Team::count_total(Metric m) const {
+  u64 total = 0;
+  for (const MemberCounts& c : counts_) total += c.v[static_cast<i32>(m)];
+  return total;
 }
 
 void Team::set_binding(BindingPlan plan) {
@@ -391,16 +387,7 @@ bool Team::barrier_wait(i32 tid) {
     return true;
   }
   trace_emit(TraceEv::kBarrierEnter, kBarrierKindUser);
-  ++tasks_.member_stats(tid).barrier_episodes;
-  u64 wait_t0 = 0;
-  if (metrics_enabled()) {
-    metrics_add(Metric::kBarrierEpisodes);
-    wait_t0 = monotonic_ns();
-  }
   const bool abandoned = barrier_wait_body(tid);
-  if (wait_t0 != 0) {
-    metrics_add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
-  }
   trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindUser, abandoned ? 1 : 0);
   return abandoned;
 }
@@ -502,16 +489,7 @@ bool Team::barrier_wait_body(i32 tid) {
 
 void Team::join_barrier_wait(i32 tid) {
   trace_emit(TraceEv::kBarrierEnter, kBarrierKindJoin);
-  ++tasks_.member_stats(tid).barrier_episodes;
-  u64 wait_t0 = 0;
-  if (metrics_enabled()) {
-    metrics_add(Metric::kBarrierEpisodes);
-    wait_t0 = monotonic_ns();
-  }
   join_barrier_wait_body(tid);
-  if (wait_t0 != 0) {
-    metrics_add(Metric::kBarrierWaitNs, monotonic_ns() - wait_t0);
-  }
   trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindJoin);
 }
 
@@ -590,7 +568,6 @@ bool Team::cancel_activate(ThreadState& ts, i32 construct) {
   if (!GlobalIcv::instance().cancellation()) return false;
   cancel_request_.fetch_or(construct, std::memory_order_seq_cst);
   trace_emit(TraceEv::kCancel, construct);
-  metrics_add(Metric::kCancellations);
   // Parallel cancel must unpark barrier waiters so they can abandon their
   // episode; the park predicate re-checks the flag under the gate's lock.
   if (construct & kCancelParallel) bar_gate_.wake_all();
@@ -719,8 +696,7 @@ bool Team::dispatch_next(ThreadState& ts, i64* plo, i64* phi, bool* plast) {
       dispatch_next_chunk(*slot, ts.dispatch, ts.tid, plo, phi, &last)) {
     ts.dispatch.last_chunk = last;
     if (plast != nullptr) *plast = last;
-    trace_emit(TraceEv::kDispatchClaim, *plo, *phi);
-    ++tasks_.member_stats(ts.tid).dispatch_claims;
+    trace_emit(TraceEv::kDispatchClaim, *plo, *phi, ts.dispatch.served_shard);
     return true;
   }
   // Exhausted for this member: detach; the last member to detach frees the
@@ -820,8 +796,6 @@ void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
   }
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete);
-  ++tasks_.member_stats(ts.tid).tasks_executed;
-  metrics_add(Metric::kTasksExecuted);
 }
 
 void Team::enqueue_task(ThreadState& ts, std::unique_ptr<Task> task) {
@@ -1018,8 +992,6 @@ void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
   }
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete, discarded ? 1 : 0);
-  ++tasks_.member_stats(ts.tid).tasks_executed;
-  metrics_add(Metric::kTasksExecuted);
   // Release dependent successors BEFORE this task's own counters drop: a
   // released successor enters `outstanding` (enqueue_task -> push) first, so
   // the join barrier's drain count never reads zero with a releasable task

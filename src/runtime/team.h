@@ -14,6 +14,7 @@
 #include "runtime/barrier.h"
 #include "runtime/common.h"
 #include "runtime/icv.h"
+#include "runtime/metrics.h"
 #include "runtime/places.h"
 #include "runtime/reduce.h"
 #include "runtime/task.h"
@@ -304,6 +305,15 @@ class Team {
 
   TaskPool& tasks() { return tasks_; }
 
+  /// Member `tid`'s counts (DESIGN.md S12), written only by that member
+  /// through the metrics counter consumer. Survives hot-team reuse.
+  MemberCounts& member_counts(i32 tid) {
+    return counts_[static_cast<std::size_t>(tid)];
+  }
+
+  /// `m` summed across the members. Quiescent-read only.
+  u64 count_total(Metric m) const;
+
   /// Creates (or, for size-1 teams, `if(false)` tasks and descendants of
   /// final tasks, runs inline) an explicit task whose body is `body`. This is
   /// the zero-dependence fast path; depend/final/priority go through
@@ -494,6 +504,8 @@ class Team {
   std::vector<TaskContext> implicit_ctx_;
 
   TaskPool tasks_;
+
+  std::vector<MemberCounts> counts_;  ///< index == tid
 
   ReductionTree reduce_tree_;
 

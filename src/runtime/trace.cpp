@@ -1,4 +1,6 @@
-// Tool-callback dispatch + per-thread trace rings (DESIGN.md S12).
+// Tool-callback dispatch + per-thread trace rings (DESIGN.md S12), and the
+// one emit path that fans each event out to them and to the metrics counter
+// consumer (metrics.cpp).
 //
 // Everything mutable here lives in a heap-leaked magic static (the fault.cpp
 // pattern): rings and the callback table must outlive static destructors so
@@ -22,6 +24,7 @@
 
 #include "runtime/abi.h"
 #include "runtime/env.h"
+#include "runtime/metrics.h"
 #include "runtime/team.h"
 
 namespace zomp::rt {
@@ -35,7 +38,9 @@ namespace {
 
 using trace_detail::g_active;
 using trace_detail::kActiveCallbacks;
+using trace_detail::kActiveCounters;
 using trace_detail::kActiveRing;
+using trace_detail::set_active;
 
 /// 64Ki records/thread (~2.5 MiB at 8 threads) rides out a class-S NPB run
 /// without drops; overflow is counted, not wrapped, so the serialized trace
@@ -95,8 +100,8 @@ struct TraceRing {
 
 struct TraceState {
   /// Guards ring registration, the callback table, path/capacity config,
-  /// and g_active recomputation. Never taken on the emit path once a thread
-  /// owns its ring.
+  /// and the ring/callback bits of g_active. Never taken on the emit path
+  /// once a thread owns its ring.
   std::mutex mu;
   std::vector<std::unique_ptr<TraceRing>> rings;
   i64 ring_capacity = kDefaultRingCapacity;
@@ -140,15 +145,15 @@ TraceRing* register_ring(i32 gtid) {
 }
 
 /// Recompute g_active's callback bit from the table. Caller holds s.mu.
-void refresh_active_locked(TraceState& s, bool ring_on) {
-  u32 active = ring_on ? kActiveRing : 0u;
+void refresh_callbacks_locked(TraceState& s) {
+  bool any = false;
   for (const auto& cb : s.callbacks) {
     if (cb.load(std::memory_order_relaxed) != nullptr) {
-      active |= kActiveCallbacks;
+      any = true;
       break;
     }
   }
-  g_active.store(active, std::memory_order_release);
+  set_active(kActiveCallbacks, any);
 }
 
 void atexit_flush() { (void)zomp::trace_flush(); }
@@ -169,7 +174,8 @@ const EvDesc& ev_desc(i32 ev) {
       {"task create", 'i'},    {"task", 'B'},
       {"task", 'E'},           {"steal attempt", 'i'},
       {"steal success", 'i'},  {"cancel", 'i'},
-      {"fault", 'i'},
+      {"fault", 'i'},          {"mailbox pull", 'i'},
+      {"hot team", 'i'},
   };
   static const EvDesc kUnknown = {"unknown", 'i'};
   if (ev < 0 || ev >= static_cast<i32>(TraceEv::kCount)) return kUnknown;
@@ -180,7 +186,7 @@ const EvDesc& ev_desc(i32 ev) {
 
 namespace trace_detail {
 
-void emit_slow(TraceEv ev, i64 arg0, i64 arg1) noexcept {
+void emit_slow(TraceEv ev, i64 arg0, i64 arg1, i32 lane) noexcept {
   // A tool callback may call back into the runtime; suppress the nested
   // emissions so a naive tool cannot recurse the hook sites.
   static thread_local bool in_emit = false;
@@ -213,6 +219,10 @@ void emit_slow(TraceEv ev, i64 arg0, i64 arg1) noexcept {
     }
   }
 
+  if ((active & kActiveCounters) != 0) {
+    metrics_detail::consume(ev, arg0, arg1, lane, ts);
+  }
+
   in_emit = false;
 }
 
@@ -232,7 +242,7 @@ void trace_init_from_env() {
     s.atexit_registered = true;
     std::atexit(atexit_flush);
   }
-  refresh_active_locked(s, /*ring_on=*/true);
+  set_active(kActiveRing, true);
 }
 
 std::string trace_serialize_json() {
@@ -355,7 +365,7 @@ u64 trace_dropped_total() {
 void trace_enable_ring_for_test() {
   TraceState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
-  refresh_active_locked(s, /*ring_on=*/true);
+  set_active(kActiveRing, true);
 }
 
 void trace_set_ring_capacity_for_test(i64 records) {
@@ -374,7 +384,7 @@ void trace_reset_for_test() {
   }
   s.ring_capacity = kDefaultRingCapacity;
   s.path.clear();
-  refresh_active_locked(s, /*ring_on=*/false);
+  set_active(kActiveRing, false);
 }
 
 }  // namespace zomp::rt
@@ -408,9 +418,7 @@ std::int32_t zomp_set_callback(std::int32_t event, zomp_tool_callback_t cb) {
   zomp::rt::TraceState& s = zomp::rt::state();
   std::lock_guard<std::mutex> lock(s.mu);
   s.callbacks[event].store(cb, std::memory_order_release);
-  zomp::rt::refresh_active_locked(
-      s, (zomp::rt::trace_detail::g_active.load(std::memory_order_relaxed) &
-          zomp::rt::trace_detail::kActiveRing) != 0);
+  zomp::rt::refresh_callbacks_locked(s);
   return 1;
 }
 

@@ -1,7 +1,8 @@
 // OMPT-style tool interface + per-thread trace event rings (DESIGN.md S12).
 //
-// Two consumers share one set of hook sites threaded through the runtime
-// (pool/team/worksharing/task/barrier/fault):
+// The runtime's hook sites (pool/team/worksharing/task/fault) each make ONE
+// call, trace_emit, whose out-of-line slow path fans the event out to up to
+// three consumers:
 //
 //   * A tool registered through the zomp_start_tool / zomp_set_callback C ABI
 //     (abi.h) receives events synchronously, OMPT-5.2 style.
@@ -9,18 +10,20 @@
 //     fixed-capacity ring of TSC-stamped records, serialized to Chrome
 //     trace-event JSON (chrome://tracing / Perfetto) at process exit or
 //     zomp::trace_flush().
+//   * With ZOMP_METRICS=true, the counter consumer (metrics.cpp) folds each
+//     event into the process-wide Metric registry and the emitting member's
+//     per-team counts (zomp::team_stats()).
 //
-// Disabled-mode cost contract (same as PR 8's cancellation points): a hook
-// site is ONE relaxed atomic load when neither consumer is active. The slow
-// path — ring append and/or callback dispatch — is out of line.
+// Disabled-mode cost contract (the cancellation-point one, DESIGN.md S10): a
+// hook site is ONE relaxed atomic load when no consumer is active.
 //
-// Ring discipline (the StealStats model, task.h): each ring has exactly one
-// writer (the owning thread), which stores records with plain writes and
-// publishes them with a release store of the count; drains acquire the count
-// and read only the published prefix. Records are never overwritten — a full
-// ring counts drops instead (deterministic: the FIRST kRingCapacity events
-// survive) — so a concurrent drain is race-free even mid-region; it merely
-// misses records still in flight.
+// Ring discipline: each ring has exactly one writer (the owning thread),
+// which stores records with plain writes and publishes them with a release
+// store of the count; drains acquire the count and read only the published
+// prefix. Records are never overwritten — a full ring counts drops instead
+// (deterministic: the FIRST kRingCapacity events survive) — so a concurrent
+// drain is race-free even mid-region; it merely misses records still in
+// flight.
 #pragma once
 
 #include <atomic>
@@ -44,38 +47,54 @@ enum class TraceEv : i32 {
   kTaskCreate = 8,         ///< explicit task created (deferred or inline)
   kTaskSchedule = 9,       ///< a task body is about to run
   kTaskComplete = 10,      ///< that body (and accounting) finished
-  kStealAttempt = 11,      ///< CAS-bearing steal() on a victim deque
+  kStealAttempt = 11,      ///< CAS-bearing steal() on a victim deque, after
+                           ///< the CAS; arg0 = victim tid, arg1 = 1 if lost
   kStealSuccess = 12,      ///< the steal returned a task; arg0 = victim tid
   kCancel = 13,            ///< cancellation activated; arg0 = construct bits
   kFault = 14,             ///< fault injection fired; arg0 = FaultSite
-  kCount = 15,
+  kMailboxPull = 15,       ///< task taken from a mailbox; arg0 = its owner tid
+  kHotTeam = 16,           ///< master, right after kParallelBegin: the fork's
+                           ///< hot-team probe; arg0 = 1 hit / 0 rebuild
+  kCount = 17,
 };
 
 /// arg0 of kBarrierEnter/kBarrierWaitEnd: which barrier flavour.
 enum : i64 {
-  kBarrierKindUser = 0,     ///< Team::barrier_wait (explicit/implicit barrier)
-  kBarrierKindJoin = 1,     ///< Team::join_barrier_wait (region end)
-  kBarrierKindCentral = 2,  ///< standalone CentralBarrier (barrier.cpp)
-  kBarrierKindTree = 3,     ///< standalone TreeBarrier (barrier.cpp)
+  kBarrierKindUser = 0,  ///< Team::barrier_wait (explicit/implicit barrier)
+  kBarrierKindJoin = 1,  ///< Team::join_barrier_wait (region end)
 };
 
 namespace trace_detail {
 
-/// Consumer bitmask: bit 0 = ring recording, bit 1 = tool callbacks. Zero —
-/// the overwhelmingly common state — short-circuits every hook site.
+/// Consumer bitmask: bit 0 = ring recording, bit 1 = tool callbacks, bit 2 =
+/// the metrics counter consumer. Zero — the overwhelmingly common state —
+/// short-circuits every hook site.
 inline constexpr u32 kActiveRing = 1u;
 inline constexpr u32 kActiveCallbacks = 2u;
+inline constexpr u32 kActiveCounters = 4u;
 extern std::atomic<u32> g_active;
 
-void emit_slow(TraceEv ev, i64 arg0, i64 arg1) noexcept;
+/// Arms or disarms one consumer bit, leaving the others untouched.
+inline void set_active(u32 bit, bool on) noexcept {
+  if (on) {
+    g_active.fetch_or(bit, std::memory_order_release);
+  } else {
+    g_active.fetch_and(~bit, std::memory_order_release);
+  }
+}
+
+void emit_slow(TraceEv ev, i64 arg0, i64 arg1, i32 lane) noexcept;
 
 }  // namespace trace_detail
 
 /// The hook. Disabled mode is exactly this relaxed load + a predicted
-/// branch; everything else lives in emit_slow (trace.cpp).
-inline void trace_emit(TraceEv ev, i64 arg0 = 0, i64 arg1 = 0) noexcept {
+/// branch; everything else lives in emit_slow (trace.cpp). `lane` is an
+/// internal-only word for the counter consumer (the serving shard of a
+/// dispatch claim); rings and tools never see it.
+inline void trace_emit(TraceEv ev, i64 arg0 = 0, i64 arg1 = 0,
+                       i32 lane = 0) noexcept {
   if (trace_detail::g_active.load(std::memory_order_relaxed) == 0) return;
-  trace_detail::emit_slow(ev, arg0, arg1);
+  trace_detail::emit_slow(ev, arg0, arg1, lane);
 }
 
 /// True when ring recording is on (ZOMP_TRACE set, or enabled for tests).
@@ -84,6 +103,13 @@ inline void trace_emit(TraceEv ev, i64 arg0 = 0, i64 arg1 = 0) noexcept {
 inline bool trace_ring_enabled() noexcept {
   return (trace_detail::g_active.load(std::memory_order_relaxed) &
           trace_detail::kActiveRing) != 0;
+}
+
+/// True when the metrics counter consumer is on (ZOMP_METRICS, or enabled
+/// for tests).
+inline bool trace_counters_enabled() noexcept {
+  return (trace_detail::g_active.load(std::memory_order_relaxed) &
+          trace_detail::kActiveCounters) != 0;
 }
 
 /// Parses ZOMP_TRACE from the environment and arms the subsystem: a
@@ -116,8 +142,9 @@ u64 trace_dropped_total();
 /// set_ring_capacity_for_test bounds NEW rings (existing rings keep their
 /// capacity — spawn a fresh thread to get a small one); reset_for_test
 /// empties every ring, restores the default capacity, and disarms the ring
-/// bit (callbacks are untouched). Reset requires emitting threads to be
-/// quiescent, which a test that just joined its regions satisfies.
+/// bit (callbacks and counters are untouched). Reset requires emitting
+/// threads to be quiescent, which a test that just joined its regions
+/// satisfies.
 void trace_enable_ring_for_test();
 void trace_set_ring_capacity_for_test(i64 records);
 void trace_reset_for_test();

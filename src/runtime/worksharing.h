@@ -120,6 +120,7 @@ struct MemberDispatch {
   DispatchSlot* slot = nullptr;
   u64 seq = 0;
   i32 shard = 0;  ///< this member's place shard (dynamic/guided claims)
+  i32 served_shard = 0;  ///< shard that served the latest claimed chunk
   /// Static-kind cursor (deterministic assignment without shared traffic).
   i64 static_next = 0;
   i64 static_hi = 0;
@@ -131,7 +132,8 @@ struct MemberDispatch {
 /// Claims the next chunk from `slot` for member `md`. Returns false when the
 /// construct is exhausted for this member. On success [*plo, *phi) is the
 /// chunk in the original iteration space and *plast tells whether it contains
-/// the sequentially-last iteration (for `lastprivate`).
+/// the sequentially-last iteration (for `lastprivate`); md.served_shard
+/// reports which shard's cursor served it (the claim hook's metrics lane).
 bool dispatch_next_chunk(DispatchSlot& slot, MemberDispatch& md, i32 tid,
                          i64* plo, i64* phi, bool* plast);
 

@@ -6,8 +6,10 @@
 // interplay (re-arms must not re-issue setaffinity).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <mutex>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #endif
 
 #include "runtime/hl.h"
+#include "runtime/metrics.h"
 #include "runtime/places.h"
 #include "runtime/team.h"
 #include "runtime/topology.h"
@@ -729,6 +732,88 @@ TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
     parallel([&] { master([&] { t = rt::current_thread().team; }); }, opts);
     ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
   }
+}
+
+/// Reference model of one master's hot-team cache (pool.cpp fork_call): a
+/// few slots keyed by (request, bind); a hit refreshes the slot's LRU stamp,
+/// a miss fills the first empty slot, else evicts the least recently used.
+class HotCacheModel {
+ public:
+  /// Returns true for a hit.
+  bool fork(int want, BindKind bind) {
+    for (Slot& s : slots_) {
+      if (s.used && s.want == want && s.bind == bind) {
+        s.last_use = ++tick_;
+        return true;
+      }
+    }
+    Slot* victim = nullptr;
+    for (Slot& s : slots_) {
+      if (!s.used) {
+        victim = &s;
+        break;
+      }
+    }
+    if (victim == nullptr) {
+      victim = &slots_[0];
+      for (Slot& s : slots_) {
+        if (s.last_use < victim->last_use) victim = &s;
+      }
+    }
+    *victim = Slot{true, want, bind, ++tick_};
+    return false;
+  }
+
+ private:
+  struct Slot {
+    bool used = false;
+    int want = 0;
+    BindKind bind = BindKind::kFalse;
+    rt::u64 last_use = 0;
+  };
+  std::array<Slot, rt::ThreadState::kHotSlots> slots_{};
+  rt::u64 tick_ = 0;
+};
+
+TEST(HotTeamAffinityTest, RandomForkSequenceMatchesTheLruModel) {
+  // Seeded random (request, proc_bind) forks under a synthetic 4-place
+  // table; each fork's hit/rebuild counter delta must match the model.
+  PlaceTableGuard guard;
+  PlaceTable::instance().set_for_test(synthetic_places(4));
+  rt::metrics_reset_for_test();
+  rt::metrics_set_enabled_for_test(true);
+  const BindKind kBinds[] = {BindKind::kFalse, BindKind::kClose,
+                             BindKind::kSpread, BindKind::kPrimary};
+  HotCacheModel model;
+  auto fork = [&](int want, BindKind bind, int step) {
+    const rt::u64 hits0 = rt::metrics_value(rt::Metric::kHotTeamHits);
+    const rt::u64 rebuilds0 = rt::metrics_value(rt::Metric::kHotTeamRebuilds);
+    ParallelOptions opts;
+    opts.num_threads = want;
+    opts.proc_bind = bind;
+    parallel([] {}, opts);
+    const bool hit = model.fork(want, bind);
+    EXPECT_EQ(rt::metrics_value(rt::Metric::kHotTeamHits) - hits0,
+              hit ? 1u : 0u)
+        << "step " << step << " want " << want << " bind "
+        << rt::bind_kind_name(bind);
+    EXPECT_EQ(rt::metrics_value(rt::Metric::kHotTeamRebuilds) - rebuilds0,
+              hit ? 0u : 1u)
+        << "step " << step;
+  };
+  // Warm-up: the new table generation makes every bound key a miss, so four
+  // of them evict whatever earlier tests cached and sync cache and model.
+  for (int w = 1; w <= rt::ThreadState::kHotSlots; ++w) {
+    fork(w, BindKind::kClose, -w);
+  }
+  std::mt19937 rng(20240917);
+  std::uniform_int_distribution<int> want_dist(1, 4);
+  std::uniform_int_distribution<int> bind_dist(0, 3);
+  for (int step = 0; step < 200; ++step) {
+    fork(want_dist(rng), kBinds[bind_dist(rng)], step);
+  }
+  rt::metrics_set_enabled_for_test(false);
+  rt::metrics_reset_for_test();
 }
 
 TEST(HotTeamAffinityTest, AlternatingShapesBothStayHot) {

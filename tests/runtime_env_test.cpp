@@ -231,7 +231,7 @@ TEST(MetricsEnvTest, MalformedMetricsValueWarnsAndStaysOff) {
   setenv("ZOMP_METRICS", "sometimes", 1);
   metrics_init_from_env();
   EXPECT_EQ(env_malformed_warning_count(), 1);
-  EXPECT_FALSE(metrics_enabled());
+  EXPECT_FALSE(trace_counters_enabled());
   unsetenv("ZOMP_METRICS");
   env_warn_reset_for_test();
 }
@@ -242,7 +242,7 @@ TEST(MetricsEnvTest, FalseMetricsValueStaysOffWithoutWarning) {
   setenv("ZOMP_METRICS", "false", 1);
   metrics_init_from_env();
   EXPECT_EQ(env_malformed_warning_count(), 0);
-  EXPECT_FALSE(metrics_enabled());
+  EXPECT_FALSE(trace_counters_enabled());
   unsetenv("ZOMP_METRICS");
 }
 

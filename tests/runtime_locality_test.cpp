@@ -357,8 +357,9 @@ TEST(LocalityDispatchTest, BoundSpreadCoverageSweep) {
 TEST(LocalityTaskloopTest, SprayCoversEveryIterationAcrossPlaces) {
   // A 4-member spread team over two places: taskloop chunks are sprayed
   // round-robin across the place shards via the remote mailboxes, every
-  // iteration still runs exactly once, and the pool telemetry shows the
-  // remote chunks really travelled through mailboxes.
+  // iteration still runs exactly once, and the per-team counts show the
+  // remote chunks really travelled through mailboxes (counted only while
+  // the metrics consumer is on).
   PlaceTableGuard pguard;
   PlaceTable::instance().set_for_test(synthetic_places(2));
   constexpr rt::i64 kN = 256;
@@ -369,6 +370,7 @@ TEST(LocalityTaskloopTest, SprayCoversEveryIterationAcrossPlaces) {
   ParallelOptions opts;
   opts.num_threads = 4;
   opts.proc_bind = rt::BindKind::kSpread;
+  rt::metrics_set_enabled_for_test(true);
   parallel(
       [&] {
         if (rt::current_thread().tid == 0) team = rt::current_thread().team;
@@ -383,6 +385,7 @@ TEST(LocalityTaskloopTest, SprayCoversEveryIterationAcrossPlaces) {
         });
       },
       opts);
+  rt::metrics_set_enabled_for_test(false);
   for (rt::i64 i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "iteration " << i;
   }
@@ -390,8 +393,8 @@ TEST(LocalityTaskloopTest, SprayCoversEveryIterationAcrossPlaces) {
   // shards, 3 of every 4 chunks target another member's mailbox.
   ASSERT_NE(team, nullptr);
   if (team->size() == 4 && team->shard_map().nshards == 2) {
-    const rt::StealStats stats = team->tasks().stats_total();
-    EXPECT_GE(stats.mailbox_pulls, static_cast<rt::u64>(kChunks * 3 / 4))
+    EXPECT_GE(team->count_total(rt::Metric::kMailboxPulls),
+              static_cast<rt::u64>(kChunks * 3 / 4))
         << "sprayed chunks must travel through the mailboxes";
   }
 }

@@ -793,15 +793,16 @@ TEST(SchedStressTest, ConcurrentMastersRebindIndependently) {
 
 TEST(SchedStressTest, StealTelemetryCountsAttemptsAndLostRaces) {
   // Single-producer storm with many thieves contending on one deque: the
-  // per-member steal counters (written only by their owner inside take, read
-  // quiescently after the join) must account for every stolen task, and
-  // lost-CAS retries can never exceed attempts. This is the measurement the
+  // per-member steal counts (written only by their owner through the metrics
+  // consumer, read quiescently after the join) must account for every
+  // stolen task, and lost-CAS retries can never exceed attempts. This is the measurement the
   // staggered steal-scan starts exist to keep low — convoying thieves all
   // losing the same CAS shows up directly in steal_lost.
   constexpr int kTasks = 1024;
   constexpr int kThreads = 8;
   std::atomic<int> done{0};
   rt::Team* team = nullptr;
+  rt::metrics_set_enabled_for_test(true);
   parallel(
       [&] {
         if (thread_num() == 0) {
@@ -815,14 +816,15 @@ TEST(SchedStressTest, StealTelemetryCountsAttemptsAndLostRaces) {
         }
       },
       ParallelOptions{kThreads, true});
+  rt::metrics_set_enabled_for_test(false);
   EXPECT_EQ(done.load(), kTasks);
   // Post-join quiescent read: workers have checked out and parked, the team
   // survives in the master's hot cache.
   ASSERT_NE(team, nullptr);
-  const rt::StealStats stats = team->tasks().stats_total();
-  EXPECT_GT(stats.steal_attempts, 0u)
+  const rt::u64 attempts = team->count_total(rt::Metric::kStealAttempts);
+  EXPECT_GT(attempts, 0u)
       << "a yielding producer means every completion was a steal";
-  EXPECT_LE(stats.steal_lost, stats.steal_attempts)
+  EXPECT_LE(team->count_total(rt::Metric::kStealLost), attempts)
       << "lost CAS races are a subset of attempts";
 }
 

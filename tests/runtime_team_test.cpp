@@ -429,21 +429,46 @@ TEST(ReduceTest, MinMaxCombines) {
   EXPECT_EQ(mx, 999.0);
 }
 
-TEST(BarrierApiTest, BarrierSeparatesPhases) {
-  constexpr int kThreads = 4;
-  std::vector<int> phase1(kThreads, 0);
-  std::atomic<int> mismatches{0};
+class BarrierApiTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BarrierApiTest, BarrierSeparatesPhases) {
+  // Before the barrier each member bumps the round counter and stamps its
+  // plain phase slot; after it all must see both at this round. The second
+  // barrier fences the reads from the next round's writes. Sizes beyond the
+  // core count drive the oversubscribed spin-then-park path.
+  const int want = GetParam();
+  constexpr int kRounds = 50;
+  std::vector<int> phase(static_cast<std::size_t>(want), 0);
+  std::atomic<int> counter{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> size{0};
   parallel(
       [&] {
-        phase1[static_cast<std::size_t>(thread_num())] = 1;
-        barrier();
-        for (int i = 0; i < kThreads; ++i) {
-          if (phase1[static_cast<std::size_t>(i)] != 1) mismatches.fetch_add(1);
+        const int members = num_threads();
+        if (thread_num() == 0) size.store(members);
+        for (int round = 0; round < kRounds; ++round) {
+          counter.fetch_add(1, std::memory_order_acq_rel);
+          phase[static_cast<std::size_t>(thread_num())] = round + 1;
+          barrier();
+          if (counter.load(std::memory_order_acquire) < members * (round + 1)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+          for (int i = 0; i < members; ++i) {
+            if (phase[static_cast<std::size_t>(i)] != round + 1) {
+              failures.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          barrier();
         }
       },
-      ParallelOptions{kThreads, true});
-  EXPECT_EQ(mismatches.load(), 0);
+      ParallelOptions{want, true});
+  EXPECT_EQ(size.load(), want);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(counter.load(), size.load() * kRounds);
 }
+
+INSTANTIATE_TEST_SUITE_P(TeamSizes, BarrierApiTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 13));
 
 }  // namespace
 }  // namespace zomp

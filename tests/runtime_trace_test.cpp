@@ -489,6 +489,50 @@ TEST_F(MetricsTest, BarrierWaitTimeAccumulates) {
   EXPECT_GT(rt::metrics_value(rt::Metric::kBarrierWaitNs), 0u);
 }
 
+TEST_F(MetricsTest, NestedRegionInsideABarrierTimesEachEpisode) {
+  // A task drained at the outer barrier forks a nested region, whose
+  // barriers open and close inside that thread's outer episode. B/E records
+  // must pair per gtid, and a clobbered or zeroed enter stamp would push the
+  // summed wait past (member slots) x (wall time).
+  const int saved_levels = get_max_active_levels();
+  set_max_active_levels(2);
+  rt::trace_reset_for_test();
+  rt::trace_enable_ring_for_test();
+  std::atomic<int> nested_runs{0};
+  const double t0 = wtime();
+  parallel(
+      [&] {
+        single(
+            [&] {
+              task([&] {
+                parallel(
+                    [&] {
+                      barrier();
+                      nested_runs.fetch_add(1, std::memory_order_relaxed);
+                    },
+                    ParallelOptions{2, true});
+              });
+            },
+            /*barrier_after=*/false);
+        barrier();
+      },
+      ParallelOptions{2, true});
+  const double elapsed_ns = (wtime() - t0) * 1e9;
+  const std::vector<JsonEv> events =
+      parse_trace_events(rt::trace_serialize_json());
+  rt::trace_reset_for_test();
+  set_max_active_levels(saved_levels);
+
+  EXPECT_EQ(nested_runs.load(), 2);
+  expect_paired(events, "barrier");
+  // Outer (2) + nested (2) member slots, each at most one wall interval.
+  constexpr double kMemberSlots = 4;
+  const rt::u64 wait_ns = rt::metrics_value(rt::Metric::kBarrierWaitNs);
+  EXPECT_LE(static_cast<double>(wait_ns), kMemberSlots * elapsed_ns);
+  // Two outer episodes per outer member, two nested ones per nested member.
+  EXPECT_EQ(rt::metrics_value(rt::Metric::kBarrierEpisodes), 8u);
+}
+
 TEST_F(MetricsTest, ReportIsFencedAndListsEveryCounter) {
   parallel([] { barrier(); }, ParallelOptions{2, true});
   const std::string report = rt::metrics_report();
@@ -525,6 +569,8 @@ TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
   TeamStats st{};
   zomp_team_stats_t abi_st{};
   std::atomic<bool> read_done{false};
+  // Per-team counts accumulate only while the metrics consumer is on.
+  rt::metrics_set_enabled_for_test(true);
   parallel(
       [&] {
         for_each(0, 128, [](rt::i64) {},
@@ -548,6 +594,7 @@ TEST(TeamStatsTest, RegionWorkIsVisibleFromInsideTheRegion) {
         }
       },
       ParallelOptions{4, true});
+  rt::metrics_set_enabled_for_test(false);
 
   EXPECT_GE(st.dispatch_claims, 1);
   EXPECT_GE(st.tasks_executed, 8);
@@ -571,10 +618,31 @@ TEST(TeamStatsTest, AbiGuardsNullAndMzTwinBoundsWhich) {
 }
 
 TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
+  // Every scalar mz_omp_* routine abi.h declares, through the interpreter's
+  // host bindings: one that is not registered aborts the program.
   const std::string source = R"(
+extern fn mz_omp_get_thread_num() i64;
+extern fn mz_omp_get_num_threads() i64;
+extern fn mz_omp_get_max_threads() i64;
+extern fn mz_omp_get_num_procs() i64;
+extern fn mz_omp_in_parallel() i64;
+extern fn mz_omp_get_level() i64;
+extern fn mz_omp_get_team_size(level: i64) i64;
+extern fn mz_omp_get_max_active_levels() i64;
+extern fn mz_omp_set_max_active_levels(levels: i64) void;
+extern fn mz_omp_get_max_task_priority() i64;
+extern fn mz_omp_set_num_threads(n: i64) void;
+extern fn mz_omp_get_wtime() f64;
 extern fn mz_omp_get_wtick() f64;
 extern fn mz_omp_team_stat(which: i64) i64;
 extern fn mz_omp_trace_flush() i64;
+extern fn mz_omp_get_cancellation() i64;
+extern fn mz_omp_get_proc_bind() i64;
+extern fn mz_omp_get_num_places() i64;
+extern fn mz_omp_get_place_num() i64;
+extern fn mz_omp_get_place_num_procs(place: i64) i64;
+extern fn mz_omp_get_partition_num_places() i64;
+extern fn mz_omp_display_affinity() void;
 pub fn main() void {
   var total: i64 = 0;
   //#omp parallel for reduction(+: total) num_threads(4)
@@ -582,9 +650,27 @@ pub fn main() void {
     total = total + 1;
   }
   @print(total);
+  @print(mz_omp_get_thread_num());
+  @print(mz_omp_get_num_threads());
+  @print(mz_omp_get_max_threads() >= 1);
+  @print(mz_omp_get_num_procs() >= 1);
+  @print(mz_omp_in_parallel());
+  @print(mz_omp_get_level());
+  @print(mz_omp_get_team_size(0));
+  mz_omp_set_max_active_levels(mz_omp_get_max_active_levels());
+  @print(mz_omp_get_max_task_priority() >= 0);
+  mz_omp_set_num_threads(mz_omp_get_max_threads());
+  @print(mz_omp_get_wtime() >= 0.0);
   @print(mz_omp_get_wtick() > 0.0);
   @print(mz_omp_team_stat(5) >= 0);
   @print(mz_omp_trace_flush());
+  @print(mz_omp_get_cancellation() >= 0);
+  @print(mz_omp_get_proc_bind() >= 0);
+  @print(mz_omp_get_num_places() >= 0);
+  @print(mz_omp_get_place_num() + 1 >= 0);
+  @print(mz_omp_get_place_num_procs(0) >= 0);
+  @print(mz_omp_get_partition_num_places() >= 0);
+  mz_omp_display_affinity();
 }
 )";
   core::CompileOptions options;
@@ -596,8 +682,11 @@ pub fn main() void {
   iopts.out = &out;
   interp::Interp interp(*result.module, iopts);
   ASSERT_TRUE(interp.run_main());
-  // trace_flush returns 0: tracing is not file-backed in this test.
-  EXPECT_EQ(out.str(), "100\ntrue\ntrue\n0\n");
+  // Outside any region: thread 0 of a one-member level-0 team. trace_flush
+  // returns 0: tracing is not file-backed in this test.
+  EXPECT_EQ(out.str(),
+            "100\n0\n1\ntrue\ntrue\n0\n0\n1\ntrue\ntrue\ntrue\ntrue\n0\n"
+            "true\ntrue\ntrue\ntrue\ntrue\ntrue\n");
 }
 
 }  // namespace
