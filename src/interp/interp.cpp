@@ -8,10 +8,11 @@
 #include <limits>
 #include <new>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "lang/sema.h"
 #include "runtime/abi.h"
-#include "runtime/api.h"
 #include "runtime/hl.h"
 #include "runtime/pool.h"
 #include "runtime/sync.h"
@@ -37,6 +38,27 @@ namespace {
   std::fprintf(stderr, "mz panic (interp) at line %u: %s\n", loc.line,
                what.c_str());
   std::abort();
+}
+
+template <typename R, typename... A, std::size_t... I>
+Value call_host(R (*fn)(A...), const std::vector<Value>& args,
+                std::index_sequence<I...>) {
+  if constexpr (std::is_void_v<R>) {
+    fn(std::get<A>(args.at(I).v)...);
+    return Value();
+  } else {
+    return Value(fn(std::get<A>(args.at(I).v)...));
+  }
+}
+
+/// Adapts a C entry point over MiniZig scalars (i64/f64/bool arguments and
+/// result, or void) to a host binding, so an `extern fn` call runs the very
+/// function generated code links against.
+template <typename R, typename... A>
+Interp::HostFn host_binding(R (*fn)(A...)) {
+  return [fn](std::vector<Value>& args) {
+    return call_host(fn, args, std::index_sequence_for<A...>{});
+  };
 }
 
 rt::Schedule to_rt_schedule(const ScheduleSpec::Kind kind, rt::i64 chunk) {
@@ -1092,72 +1114,14 @@ Interp::Interp(const lang::Module& module, Options options)
     globals_[g->symbol] = make_cell(std::move(v));
   }
 
-  // Pre-registered host functions: the runtime query API.
-  register_host_fn("mz_omp_get_thread_num",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::thread_num())); });
-  register_host_fn("mz_omp_get_num_threads",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::num_threads())); });
-  register_host_fn("mz_omp_get_max_threads",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::max_threads())); });
-  register_host_fn("mz_omp_get_num_procs",
-                   [](std::vector<Value>&) { return Value(static_cast<std::int64_t>(zomp::num_procs())); });
-  register_host_fn("mz_omp_in_parallel", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::in_parallel() ? 1 : 0));
-  });
-  register_host_fn("mz_omp_get_level", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::level()));
-  });
-  register_host_fn("mz_omp_get_team_size", [](std::vector<Value>& args) {
-    return Value(static_cast<std::int64_t>(
-        zomp::team_size(static_cast<rt::i32>(args.at(0).as_i64()))));
-  });
-  register_host_fn("mz_omp_get_max_active_levels", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::get_max_active_levels()));
-  });
-  register_host_fn("mz_omp_set_max_active_levels", [](std::vector<Value>& args) {
-    zomp::set_max_active_levels(static_cast<rt::i32>(args.at(0).as_i64()));
-    return Value();
-  });
-  register_host_fn("mz_omp_get_max_task_priority", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::max_task_priority()));
-  });
-  register_host_fn("mz_omp_set_num_threads", [](std::vector<Value>& args) {
-    zomp::set_num_threads(static_cast<rt::i32>(args.at(0).as_i64()));
-    return Value();
-  });
-  register_host_fn("mz_omp_get_wtime",
-                   [](std::vector<Value>&) { return Value(zomp::wtime()); });
-  register_host_fn("mz_omp_get_wtick",
-                   [](std::vector<Value>&) { return Value(zomp::wtick()); });
-  register_host_fn("mz_omp_team_stat", [](std::vector<Value>& args) {
-    return Value(mz_omp_team_stat(args.at(0).as_i64()));
-  });
-  register_host_fn("mz_omp_trace_flush", [](std::vector<Value>&) {
-    return Value(mz_omp_trace_flush());
-  });
-  register_host_fn("mz_omp_get_cancellation", [](std::vector<Value>&) {
-    return Value(mz_omp_get_cancellation());
-  });
-  register_host_fn("mz_omp_get_proc_bind", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::get_proc_bind()));
-  });
-  register_host_fn("mz_omp_get_num_places", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::num_places()));
-  });
-  register_host_fn("mz_omp_get_place_num", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::place_num()));
-  });
-  register_host_fn("mz_omp_get_place_num_procs", [](std::vector<Value>& args) {
-    return Value(static_cast<std::int64_t>(
-        zomp::place_num_procs(static_cast<rt::i32>(args.at(0).as_i64()))));
-  });
-  register_host_fn("mz_omp_get_partition_num_places", [](std::vector<Value>&) {
-    return Value(static_cast<std::int64_t>(zomp::partition_num_places()));
-  });
-  register_host_fn("mz_omp_display_affinity", [](std::vector<Value>&) {
-    zomp::display_affinity();
-    return Value();
-  });
+  // Pre-registered host functions: every mz_omp_* routine abi.h declares,
+  // bound to the same C entry point generated code calls.
+#define ZOMP_BIND_HOST(fn) register_host_fn(#fn, host_binding(&fn))
+#define ZOMP_ROUTINE(ret, name, call, param) ZOMP_BIND_HOST(mz_omp_##name);
+#include "runtime/omp_routines.def"
+#undef ZOMP_ROUTINE
+  ZOMP_BIND_HOST(mz_omp_team_stat);
+#undef ZOMP_BIND_HOST
 }
 
 void Interp::register_host_fn(const std::string& name, HostFn fn) {

@@ -42,6 +42,26 @@ void atomic_rmw(T* addr, T value, Op op) {
   }
 }
 
+// The omp_* twins (omp_routines.def). The one i64 -> i32 narrowing of an
+// mz_omp_ argument: a value outside i32 becomes -1, which every INT-param
+// row rejects, so a wrapped argument never aliases a valid one.
+i32 narrow(i32 v) { return v; }
+i32 narrow(i64 v) {
+  return v == static_cast<i32>(v) ? static_cast<i32>(v) : -1;
+}
+
+// Calls a twin's zomp:: routine with narrowed arguments and casts its bool,
+// enum or integer result to the twin's return type R (void included).
+template <typename R, typename Call, typename... A>
+R forward_twin(Call call, A... args) {
+  return static_cast<R>(call(narrow(args)...));
+}
+
+// The table's `ret` column as a type, for the twin whose integer type is I.
+template <typename I> using RetINT = I;
+template <typename I> using RetF64 = double;
+template <typename I> using RetVOID = void;
+
 }  // namespace
 
 extern "C" {
@@ -173,14 +193,6 @@ std::int32_t zomp_cancellation_point(const zomp_ident_t* /*loc*/,
     default:
       return 0;
   }
-}
-
-std::int32_t zomp_get_cancellation(void) {
-  return zomp::rt::GlobalIcv::instance().cancellation() ? 1 : 0;
-}
-
-std::int64_t mz_omp_get_cancellation(void) {
-  return zomp_get_cancellation();
 }
 
 std::int32_t zomp_barrier(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/) {
@@ -376,31 +388,23 @@ void zomp_taskloop(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                     });
 }
 
-// -- Queries ----------------------------------------------------------------
+// -- omp_* routines: both twins of every omp_routines.def row ----------------
 
-std::int64_t mz_omp_get_thread_num(void) { return zomp::thread_num(); }
-std::int64_t mz_omp_get_num_threads(void) { return zomp::num_threads(); }
-std::int64_t mz_omp_get_max_threads(void) { return zomp::max_threads(); }
-std::int64_t mz_omp_get_num_procs(void) { return zomp::num_procs(); }
-std::int64_t mz_omp_in_parallel(void) { return zomp::in_parallel() ? 1 : 0; }
-std::int64_t mz_omp_get_level(void) { return zomp::level(); }
-std::int64_t mz_omp_get_team_size(std::int64_t level) {
-  return zomp::team_size(static_cast<i32>(level));
-}
-std::int64_t mz_omp_get_max_active_levels(void) {
-  return zomp::get_max_active_levels();
-}
-void mz_omp_set_max_active_levels(std::int64_t levels) {
-  zomp::set_max_active_levels(static_cast<i32>(levels));
-}
-std::int64_t mz_omp_get_max_task_priority(void) {
-  return zomp::max_task_priority();
-}
-void mz_omp_set_num_threads(std::int64_t n) {
-  zomp::set_num_threads(static_cast<i32>(n));
-}
-double mz_omp_get_wtime(void) { return zomp::wtime(); }
-double mz_omp_get_wtick(void) { return zomp::wtick(); }
+// R is the twin's return type, I its integer type.
+#define ZOMP_TWIN_NONE(R, I, fn, call) \
+  R fn(void) { return forward_twin<R>([] { return zomp::call(); }); }
+#define ZOMP_TWIN_INT(R, I, fn, call)                                   \
+  R fn(I v) {                                                           \
+    return forward_twin<R>([](i32 a) { return zomp::call(a); }, v);     \
+  }
+#define ZOMP_ROUTINE(ret, name, call, param)                                 \
+  ZOMP_TWIN_##param(Ret##ret<std::int32_t>, std::int32_t, zomp_##name, call) \
+  ZOMP_TWIN_##param(Ret##ret<std::int64_t>, std::int64_t, mz_omp_##name, call)
+#include "runtime/omp_routines.def"
+#undef ZOMP_ROUTINE
+#undef ZOMP_TWIN_INT
+#undef ZOMP_TWIN_NONE
+
 std::int64_t mz_omp_team_stat(std::int64_t which) {
   const zomp::TeamStats s = zomp::team_stats();
   switch (which) {
@@ -413,30 +417,6 @@ std::int64_t mz_omp_team_stat(std::int64_t which) {
     default: return 0;
   }
 }
-std::int64_t mz_omp_trace_flush(void) { return zomp::trace_flush() ? 1 : 0; }
-
-std::int32_t zomp_get_thread_num(void) { return zomp::thread_num(); }
-std::int32_t zomp_get_num_threads(void) { return zomp::num_threads(); }
-std::int32_t zomp_get_max_threads(void) { return zomp::max_threads(); }
-std::int32_t zomp_get_num_procs(void) { return zomp::num_procs(); }
-std::int32_t zomp_in_parallel(void) { return zomp::in_parallel() ? 1 : 0; }
-std::int32_t zomp_get_level(void) { return zomp::level(); }
-std::int32_t zomp_get_team_size(std::int32_t level) {
-  return zomp::team_size(level);
-}
-std::int32_t zomp_get_max_active_levels(void) {
-  return zomp::get_max_active_levels();
-}
-void zomp_set_max_active_levels(std::int32_t levels) {
-  zomp::set_max_active_levels(levels);
-}
-std::int32_t zomp_get_max_task_priority(void) {
-  return zomp::max_task_priority();
-}
-void zomp_set_num_threads(std::int32_t n) { zomp::set_num_threads(n); }
-double zomp_get_wtime(void) { return zomp::wtime(); }
-double zomp_get_wtick(void) { return zomp::wtick(); }
-std::int32_t zomp_trace_flush(void) { return zomp::trace_flush() ? 1 : 0; }
 void zomp_team_stats(zomp_team_stats_t* out) {
   if (out == nullptr) return;
   const zomp::TeamStats s = zomp::team_stats();
@@ -448,38 +428,12 @@ void zomp_team_stats(zomp_team_stats_t* out) {
   out->barrier_episodes = s.barrier_episodes;
 }
 
-std::int32_t zomp_get_proc_bind(void) {
-  return static_cast<std::int32_t>(zomp::get_proc_bind());
-}
-std::int32_t zomp_get_num_places(void) { return zomp::num_places(); }
-std::int32_t zomp_get_place_num(void) { return zomp::place_num(); }
-std::int32_t zomp_get_place_num_procs(std::int32_t place) {
-  return zomp::place_num_procs(place);
-}
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids) {
   zomp::place_proc_ids(place, ids);
-}
-std::int32_t zomp_get_partition_num_places(void) {
-  return zomp::partition_num_places();
 }
 void zomp_get_partition_place_nums(std::int32_t* nums) {
   zomp::partition_place_nums(nums);
 }
-void zomp_display_affinity(void) { zomp::display_affinity(); }
-
-std::int64_t mz_omp_get_proc_bind(void) {
-  return static_cast<std::int64_t>(zomp::get_proc_bind());
-}
-std::int64_t mz_omp_get_num_places(void) { return zomp::num_places(); }
-std::int64_t mz_omp_get_place_num(void) { return zomp::place_num(); }
-std::int64_t mz_omp_get_place_num_procs(std::int64_t place) {
-  return zomp::place_num_procs(static_cast<i32>(place));
-}
-std::int64_t mz_omp_get_partition_num_places(void) {
-  return zomp::partition_num_places();
-}
-void mz_omp_display_affinity(void) { zomp::display_affinity(); }
-
 void zomp_set_affinity_format(const char* format) {
   zomp::set_affinity_format(format);
 }
@@ -490,20 +444,6 @@ std::uint64_t zomp_capture_affinity(char* buffer, std::uint64_t size,
                                     const char* format) {
   return zomp::capture_affinity(buffer, static_cast<std::size_t>(size),
                                 format);
-}
-
-void mz_omp_set_affinity_format(const char* format) {
-  zomp::set_affinity_format(format);
-}
-std::int64_t mz_omp_get_affinity_format(char* buffer, std::int64_t size) {
-  const std::size_t n = size > 0 ? static_cast<std::size_t>(size) : 0;
-  return static_cast<std::int64_t>(zomp::get_affinity_format(buffer, n));
-}
-std::int64_t mz_omp_capture_affinity(char* buffer, std::int64_t size,
-                                     const char* format) {
-  const std::size_t n = size > 0 ? static_cast<std::size_t>(size) : 0;
-  return static_cast<std::int64_t>(
-      zomp::capture_affinity(buffer, n, format));
 }
 
 }  // extern "C"

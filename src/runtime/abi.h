@@ -301,29 +301,28 @@ std::int32_t zomp_cancellation_point(const zomp_ident_t* loc,
                                      std::int32_t gtid,
                                      std::int32_t construct);
 
-/// omp_get_cancellation: the cancel-var ICV (OMP_CANCELLATION).
-std::int32_t zomp_get_cancellation(void);
-
-// -- Queries / control (the omp_* routine family) -----------------------------------
-
-std::int32_t zomp_get_thread_num(void);
-std::int32_t zomp_get_num_threads(void);
-std::int32_t zomp_get_max_threads(void);
-std::int32_t zomp_get_num_procs(void);
-std::int32_t zomp_in_parallel(void);
-std::int32_t zomp_get_level(void);
-/// omp_get_team_size(level): size of the ancestor team at nesting depth
-/// `level` (0 = the initial implicit team, always 1); -1 when out of range.
-std::int32_t zomp_get_team_size(std::int32_t level);
-/// max-active-levels-var accessors (omp_get/set_max_active_levels).
-std::int32_t zomp_get_max_active_levels(void);
-void zomp_set_max_active_levels(std::int32_t levels);
-/// omp_get_max_task_priority: the priority-clause ceiling
-/// (OMP_MAX_TASK_PRIORITY; task creation clamps to it).
-std::int32_t zomp_get_max_task_priority(void);
-void zomp_set_num_threads(std::int32_t n);
-double zomp_get_wtime(void);
-double zomp_get_wtick(void);
+// -- Queries / control (the omp_* routine family) -----------------------------
+//
+// Every row of omp_routines.def declares two twins: zomp_<name> over i32
+// integers, and mz_omp_<name> over i64 for MiniZig, whose only integer type
+// is i64 — its `extern fn` declarations of the runtime API (the paper's
+// route for calling omp_* from Zig) bind to these. Each twin forwards to
+// the zomp:: routine named in its row; api.h documents the semantics.
+#define ZOMP_RET_INT(I) I
+#define ZOMP_RET_F64(I) double
+#define ZOMP_RET_VOID(I) void
+#define ZOMP_PARAM_NONE(I) void
+#define ZOMP_PARAM_INT(I) I
+#define ZOMP_ROUTINE(ret, name, call, param)                                 \
+  ZOMP_RET_##ret(std::int32_t) zomp_##name(ZOMP_PARAM_##param(std::int32_t)); \
+  ZOMP_RET_##ret(std::int64_t) mz_omp_##name(ZOMP_PARAM_##param(std::int64_t));
+#include "runtime/omp_routines.def"
+#undef ZOMP_ROUTINE
+#undef ZOMP_PARAM_INT
+#undef ZOMP_PARAM_NONE
+#undef ZOMP_RET_VOID
+#undef ZOMP_RET_F64
+#undef ZOMP_RET_INT
 
 // -- Tool interface (OMPT-style; DESIGN.md S12) ------------------------------
 //
@@ -389,11 +388,6 @@ std::int32_t zomp_set_callback(std::int32_t event, zomp_tool_callback_t cb);
 /// The currently installed callback for `event` (null if none/bad event).
 zomp_tool_callback_t zomp_get_callback(std::int32_t event);
 
-/// zomp::trace_flush() twin: serializes the event rings to the ZOMP_TRACE
-/// path now. Returns 1 on success, 0 when tracing is not file-backed or
-/// the write failed.
-std::int32_t zomp_trace_flush(void);
-
 /// zomp::team_stats() twin: counted only under ZOMP_METRICS=true (zero
 /// otherwise). Same quiescent-read contract.
 struct zomp_team_stats_t {
@@ -405,19 +399,18 @@ struct zomp_team_stats_t {
   std::int64_t barrier_episodes;
 };
 void zomp_team_stats(zomp_team_stats_t* out);
+/// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
+/// the field in declaration order (0 steal_attempts .. 5 barrier_episodes);
+/// out-of-range answers 0.
+std::int64_t mz_omp_team_stat(std::int64_t which);
 
 // Affinity queries (DESIGN.md S1.8). Place numbers index the process place
 // table built from OMP_PLACES; -1 means "unbound". The queries stay
 // meaningful when the platform refused sched_setaffinity — binding then is
 // logical-only (partitions and place numbers computed, masks unchanged).
-std::int32_t zomp_get_proc_bind(void);
-std::int32_t zomp_get_num_places(void);
-std::int32_t zomp_get_place_num(void);
-std::int32_t zomp_get_place_num_procs(std::int32_t place);
+// The scalar ones are omp_routines.def rows; these two fill caller arrays.
 void zomp_get_place_proc_ids(std::int32_t place, std::int32_t* ids);
-std::int32_t zomp_get_partition_num_places(void);
 void zomp_get_partition_place_nums(std::int32_t* nums);
-void zomp_display_affinity(void);
 
 // affinity-format-var (OMP_AFFINITY_FORMAT): the template binding reports
 // expand — see runtime/icv.h for the field escapes. get/capture follow the
@@ -427,38 +420,5 @@ void zomp_set_affinity_format(const char* format);
 std::uint64_t zomp_get_affinity_format(char* buffer, std::uint64_t size);
 std::uint64_t zomp_capture_affinity(char* buffer, std::uint64_t size,
                                     const char* format);
-
-// MiniZig-facing variants: MiniZig's only integer type is i64, so its
-// `extern fn` declarations of the runtime API (the paper's route for calling
-// omp_* from Zig) bind to these.
-std::int64_t mz_omp_get_thread_num(void);
-std::int64_t mz_omp_get_num_threads(void);
-std::int64_t mz_omp_get_max_threads(void);
-std::int64_t mz_omp_get_num_procs(void);
-std::int64_t mz_omp_in_parallel(void);
-std::int64_t mz_omp_get_level(void);
-std::int64_t mz_omp_get_team_size(std::int64_t level);
-std::int64_t mz_omp_get_max_active_levels(void);
-void mz_omp_set_max_active_levels(std::int64_t levels);
-std::int64_t mz_omp_get_max_task_priority(void);
-void mz_omp_set_num_threads(std::int64_t n);
-double mz_omp_get_wtime(void);
-double mz_omp_get_wtick(void);
-/// zomp_team_stats flattened to MiniZig's scalar-only FFI: `which` selects
-/// the field in declaration order (0 steal_attempts .. 5 barrier_episodes);
-/// out-of-range answers 0.
-std::int64_t mz_omp_team_stat(std::int64_t which);
-std::int64_t mz_omp_trace_flush(void);
-std::int64_t mz_omp_get_cancellation(void);
-std::int64_t mz_omp_get_proc_bind(void);
-std::int64_t mz_omp_get_num_places(void);
-std::int64_t mz_omp_get_place_num(void);
-std::int64_t mz_omp_get_place_num_procs(std::int64_t place);
-std::int64_t mz_omp_get_partition_num_places(void);
-void mz_omp_display_affinity(void);
-void mz_omp_set_affinity_format(const char* format);
-std::int64_t mz_omp_get_affinity_format(char* buffer, std::int64_t size);
-std::int64_t mz_omp_capture_affinity(char* buffer, std::int64_t size,
-                                     const char* format);
 
 }  // extern "C"

@@ -257,6 +257,20 @@ TEST(AbiQueryTest, MiniZigI64VariantsAgree) {
   EXPECT_EQ(mz_omp_get_max_task_priority(), zomp_get_max_task_priority());
   mz_omp_set_num_threads(2);
   EXPECT_EQ(mz_omp_get_max_threads(), 2);
+
+  // i64 arguments outside the i32 range are invalid, never wrapped onto a
+  // valid i32: 1<<32 is not level 0 or place 0, and -(1<<32)+5 is not 5.
+  constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+  EXPECT_EQ(mz_omp_get_team_size(k2to32), -1);
+  EXPECT_EQ(mz_omp_get_team_size(-k2to32), -1);
+  EXPECT_EQ(mz_omp_get_place_num_procs(k2to32), 0);
+  EXPECT_EQ(mz_omp_get_place_num_procs(k2to32 + 1), 0);
+  mz_omp_set_num_threads(-k2to32 + 5);
+  EXPECT_EQ(mz_omp_get_max_threads(), 2);
+  const std::int64_t levels = mz_omp_get_max_active_levels();
+  mz_omp_set_max_active_levels(k2to32 + 2);
+  EXPECT_EQ(mz_omp_get_max_active_levels(), levels);
+  zomp_set_max_active_levels(static_cast<std::int32_t>(levels));
 }
 
 TEST(AbiQueryTest, MaxActiveLevelsRoundTrip) {

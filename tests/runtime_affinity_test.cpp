@@ -17,6 +17,7 @@
 #include <sched.h>
 #endif
 
+#include "runtime/abi.h"
 #include "runtime/hl.h"
 #include "runtime/metrics.h"
 #include "runtime/places.h"
@@ -669,6 +670,31 @@ TEST(AffinityFormatTest, SetGetCaptureRoundTrip) {
   char once[64] = {};
   capture_affinity(once, sizeof(once), "L%L");
   EXPECT_EQ(std::string(once), "L0");
+
+  // The C ABI twins, with std::uint64_t sizes, keep the same contract.
+  zomp_set_affinity_format("n=%n of %N");
+  const std::uint64_t abi_len = std::string("n=%n of %N").size();
+  char abi_buf[64] = {};
+  EXPECT_EQ(zomp_get_affinity_format(abi_buf, sizeof(abi_buf)), abi_len);
+  EXPECT_EQ(std::string(abi_buf), "n=%n of %N");
+  // Size 4 copies three chars and the NUL, and still returns the full length.
+  char abi_tiny[8] = {'x', 'x', 'x', 'x', 'x', 'x', 'x', 'x'};
+  EXPECT_EQ(zomp_get_affinity_format(abi_tiny, 4), abi_len);
+  EXPECT_EQ(std::string(abi_tiny), "n=%");
+  EXPECT_EQ(abi_tiny[4], 'x');
+  // Size 0 or a null buffer only queries the length.
+  EXPECT_EQ(zomp_get_affinity_format(abi_tiny, 0), abi_len);
+  EXPECT_EQ(abi_tiny[0], 'n');
+  EXPECT_EQ(zomp_get_affinity_format(nullptr, 64), abi_len);
+  char abi_cap[64] = {};
+  EXPECT_EQ(zomp_capture_affinity(abi_cap, sizeof(abi_cap), nullptr),
+            std::string("n=0 of 1").size());
+  EXPECT_EQ(std::string(abi_cap), "n=0 of 1");
+  char abi_once[64] = {};
+  EXPECT_EQ(zomp_capture_affinity(abi_once, sizeof(abi_once), "L%L N%N"),
+            std::string("L0 N1").size());
+  EXPECT_EQ(std::string(abi_once), "L0 N1");
+  EXPECT_EQ(zomp_capture_affinity(nullptr, 0, "L%L"), 2u);
 }
 
 TEST(AffinityFormatTest, DefaultFormatMatchesLegacyReport) {

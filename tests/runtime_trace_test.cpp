@@ -1,6 +1,7 @@
 // S12 observability tests: the OMPT-style tool callback interface, the
 // per-thread trace rings + Chrome-JSON serialization, the metrics registry,
-// and the team_stats surfaces (C++, C ABI, MiniZig host fn).
+// and the team_stats surfaces (C++, C ABI, MiniZig host fn), plus every
+// mz_omp_* routine run from MiniZig through both backends.
 //
 // Global-state hygiene: every fixture resets the tracer/metrics state it
 // touches, and callback tests unregister every event in TearDown, so suites
@@ -9,7 +10,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -21,12 +24,17 @@
 #include "core/pipeline.h"
 #include "interp/interp.h"
 #include "npb/cg.h"
+#include "omp_queries_mz.h"
 #include "runtime/abi.h"
 #include "runtime/api.h"
 #include "runtime/hl.h"
 #include "runtime/metrics.h"
 #include "runtime/team.h"
 #include "runtime/trace.h"
+
+#ifndef ZOMP_SOURCE_DIR
+#define ZOMP_SOURCE_DIR "."
+#endif
 
 namespace zomp {
 namespace {
@@ -617,76 +625,60 @@ TEST(TeamStatsTest, AbiGuardsNullAndMzTwinBoundsWhich) {
   }
 }
 
-TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
-  // Every scalar mz_omp_* routine abi.h declares, through the interpreter's
-  // host bindings: one that is not registered aborts the program.
-  const std::string source = R"(
-extern fn mz_omp_get_thread_num() i64;
-extern fn mz_omp_get_num_threads() i64;
-extern fn mz_omp_get_max_threads() i64;
-extern fn mz_omp_get_num_procs() i64;
-extern fn mz_omp_in_parallel() i64;
-extern fn mz_omp_get_level() i64;
-extern fn mz_omp_get_team_size(level: i64) i64;
-extern fn mz_omp_get_max_active_levels() i64;
-extern fn mz_omp_set_max_active_levels(levels: i64) void;
-extern fn mz_omp_get_max_task_priority() i64;
-extern fn mz_omp_set_num_threads(n: i64) void;
-extern fn mz_omp_get_wtime() f64;
-extern fn mz_omp_get_wtick() f64;
-extern fn mz_omp_team_stat(which: i64) i64;
-extern fn mz_omp_trace_flush() i64;
-extern fn mz_omp_get_cancellation() i64;
-extern fn mz_omp_get_proc_bind() i64;
-extern fn mz_omp_get_num_places() i64;
-extern fn mz_omp_get_place_num() i64;
-extern fn mz_omp_get_place_num_procs(place: i64) i64;
-extern fn mz_omp_get_partition_num_places() i64;
-extern fn mz_omp_display_affinity() void;
-pub fn main() void {
-  var total: i64 = 0;
-  //#omp parallel for reduction(+: total) num_threads(4)
-  for (0..100) |i| {
-    total = total + 1;
-  }
-  @print(total);
-  @print(mz_omp_get_thread_num());
-  @print(mz_omp_get_num_threads());
-  @print(mz_omp_get_max_threads() >= 1);
-  @print(mz_omp_get_num_procs() >= 1);
-  @print(mz_omp_in_parallel());
-  @print(mz_omp_get_level());
-  @print(mz_omp_get_team_size(0));
-  mz_omp_set_max_active_levels(mz_omp_get_max_active_levels());
-  @print(mz_omp_get_max_task_priority() >= 0);
-  mz_omp_set_num_threads(mz_omp_get_max_threads());
-  @print(mz_omp_get_wtime() >= 0.0);
-  @print(mz_omp_get_wtick() > 0.0);
-  @print(mz_omp_team_stat(5) >= 0);
-  @print(mz_omp_trace_flush());
-  @print(mz_omp_get_cancellation() >= 0);
-  @print(mz_omp_get_proc_bind() >= 0);
-  @print(mz_omp_get_num_places() >= 0);
-  @print(mz_omp_get_place_num() + 1 >= 0);
-  @print(mz_omp_get_place_num_procs(0) >= 0);
-  @print(mz_omp_get_partition_num_places() >= 0);
-  mz_omp_display_affinity();
+std::string read_kernel(const char* name) {
+  const std::string path =
+      std::string(ZOMP_SOURCE_DIR) + "/src/npb/kernels/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
-)";
-  core::CompileOptions options;
-  options.openmp = true;
-  auto result = core::compile_source(source, options);
+
+TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
+  // Every mz_omp_* routine abi.h declares, called by omp_queries.mz in both
+  // backends: interpreted (a routine without a host binding aborts the
+  // program) and transpiled by the build (a generated extern "C"
+  // declaration that disagrees with abi.h does not compile).
+  auto result = core::compile_source(read_kernel("omp_queries.mz"),
+                                     {true, "omp_queries_interp"});
   ASSERT_TRUE(result.ok) << result.diagnostics_text();
-  std::ostringstream out;
-  interp::InterpOptions iopts;
-  iopts.out = &out;
-  interp::Interp interp(*result.module, iopts);
-  ASSERT_TRUE(interp.run_main());
-  // Outside any region: thread 0 of a one-member level-0 team. trace_flush
-  // returns 0: tracing is not file-backed in this test.
-  EXPECT_EQ(out.str(),
-            "100\n0\n1\ntrue\ntrue\n0\n0\n1\ntrue\ntrue\ntrue\ntrue\n0\n"
-            "true\ntrue\ntrue\ntrue\ntrue\ntrue\n");
+  interp::Interp interp(*result.module);
+  constexpr std::int64_t kQueries = 20;
+  const auto interpreted = [&](const char* fn) {
+    interp::SliceVal out;
+    out.data = std::make_shared<std::vector<interp::Value>>(
+        static_cast<std::size_t>(kQueries), interp::Value(std::int64_t{-99}));
+    interp.call_by_name(fn, {interp::Value(out)});
+    std::vector<std::int64_t> answers;
+    for (const interp::Value& v : *out.data) answers.push_back(v.as_i64());
+    return answers;
+  };
+  const auto native = [&](void (*fn)(mz::Slice<std::int64_t>)) {
+    std::vector<std::int64_t> answers(static_cast<std::size_t>(kQueries), -99);
+    fn(mz::Slice<std::int64_t>{answers.data(), kQueries});
+    return answers;
+  };
+
+  // Outside any region: thread 0 of a one-member level-0 team. Index 5 and
+  // 16 pass 1<<32, which must be rejected rather than wrapped to 0, and 8
+  // and 10 check that the wrapped setters left their ICVs alone.
+  // trace_flush (18) returns 0: tracing is not file-backed in this test.
+  const std::int64_t prio = zomp_get_max_task_priority();
+  const std::int64_t cancel = zomp_get_cancellation();
+  const std::vector<std::int64_t> serial = {
+      0, 1, 0, 0, 1, -1, 1, 1, 1, prio, 1, 1, 1, 1, 1, 1, 0, cancel, 0, 1};
+  EXPECT_EQ(interpreted("queries_run"), serial);
+  EXPECT_EQ(native(&mzgen_omp_queries_mz::queries_run), serial);
+
+  // From the primary thread of a 4-thread team at level 1.
+  std::vector<std::int64_t> in_region = serial;
+  in_region[1] = 4;  // num_threads
+  in_region[2] = 1;  // in_parallel
+  in_region[3] = 1;  // level
+  in_region[4] = 4;  // team_size(level)
+  EXPECT_EQ(interpreted("region_run"), in_region);
+  EXPECT_EQ(native(&mzgen_omp_queries_mz::region_run), in_region);
 }
 
 }  // namespace
