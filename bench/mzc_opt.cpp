@@ -1,11 +1,10 @@
 // Optimizer pass pipeline benches (mzc -O1, core/passes.h) — the perf
 // evidence behind the PR's acceptance gates:
 //
-//   BM_StaticSpecialized vs BM_StaticStrided vs BM_RingDispatch
-//     The same parallel sum partitioned three ways at ABI level:
-//     zomp_static_range (the `static-spec` lowering: one call, one
-//     contiguous block), the general zomp_for_static_init strided
-//     protocol, and the zomp_dispatch_* ring the specialization bypasses.
+//   BM_StaticStrided vs BM_RingDispatch
+//     The same parallel sum partitioned two ways at ABI level: the
+//     zomp_for_static_init strided protocol mzc emits for schedule(static)
+//     and the zomp_dispatch_* ring it emits for dynamic schedules.
 //
 //   BM_FusedRegions vs BM_BackToBackForks
 //     Two loop bodies executed inside ONE fork with an internal barrier
@@ -51,18 +50,10 @@ PaddedSum g_sums[kMaxThreads];
 
 const zomp_ident_t kLoc{"mzc_opt.cpp", "bench", 0};
 
-// The three partitioning protocols, each the literal shape mzc emits.
+// The two partitioning protocols, each the literal shape mzc emits.
 
-void microtask_static_spec(std::int32_t gtid, std::int32_t tid, void**) {
-  std::int64_t lo = 0, hi = 0;
-  std::int32_t last = 0;
-  zomp_static_range(&kLoc, gtid, 0, kIters, &lo, &hi, &last);
-  std::int64_t s = 0;
-  for (std::int64_t i = lo; i < hi; ++i) s += i;
-  g_sums[tid].v = s;
-}
-
-void microtask_static_strided(std::int32_t gtid, std::int32_t tid, void**) {
+// This thread's share of sum(i * mult) over [0, kIters), schedule(static).
+std::int64_t static_sum(std::int32_t gtid, std::int64_t mult) {
   std::int64_t lo = 0, hi = 0, stride = 0;
   std::int32_t last = 0;
   zomp_for_static_init(&kLoc, gtid, 0, 0, kIters, 1, &lo, &hi, &stride,
@@ -71,10 +62,14 @@ void microtask_static_strided(std::int32_t gtid, std::int32_t tid, void**) {
   for (std::int64_t blo = lo; blo < kIters; blo += stride) {
     const std::int64_t bhi = blo + (hi - lo) < kIters ? blo + (hi - lo)
                                                       : kIters;
-    for (std::int64_t i = blo; i < bhi; ++i) s += i;
+    for (std::int64_t i = blo; i < bhi; ++i) s += i * mult;
   }
   zomp_for_static_fini(&kLoc, gtid);
-  g_sums[tid].v = s;
+  return s;
+}
+
+void microtask_static_strided(std::int32_t gtid, std::int32_t tid, void**) {
+  g_sums[tid].v = static_sum(gtid, 1);
 }
 
 void microtask_ring_dispatch(std::int32_t gtid, std::int32_t tid, void**) {
@@ -103,16 +98,6 @@ void thread_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-void BM_StaticSpecialized(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    if (run_fork(microtask_static_spec, threads) != kExpected) {
-      state.SkipWithError("bad sum");
-    }
-  }
-}
-ZOMP_BENCHMARK(BM_StaticSpecialized)->Apply(thread_args);
-
 void BM_StaticStrided(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -136,12 +121,7 @@ ZOMP_BENCHMARK(BM_RingDispatch)->Apply(thread_args);
 // -- fusion: one fork + internal barrier vs two fork/join cycles -------------
 
 void body_phase(std::int32_t gtid, std::int32_t tid, std::int64_t mult) {
-  std::int64_t lo = 0, hi = 0;
-  std::int32_t last = 0;
-  zomp_static_range(&kLoc, gtid, 0, kIters, &lo, &hi, &last);
-  std::int64_t s = 0;
-  for (std::int64_t i = lo; i < hi; ++i) s += i * mult;
-  g_sums[tid].v += s;
+  g_sums[tid].v += static_sum(gtid, mult);
 }
 
 void microtask_fused(std::int32_t gtid, std::int32_t tid, void**) {

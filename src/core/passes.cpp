@@ -97,7 +97,7 @@ void collect_assigned_names(const Stmt& root,
 /// every assignment to a const, so no region can write through that pointer
 /// — which is exactly what lets the folder see through the shared capture
 /// of a constant loop bound (the common `const n = ...; parallel for 0..n`
-/// shape the static-spec pass feeds on). Reduction captures are written by
+/// shape). Reduction captures are written by
 /// the combine regardless of declared const-ness, so they always disqualify.
 void collect_disqualified_names(const Stmt& root,
                                 std::unordered_set<std::string>& out) {
@@ -463,75 +463,6 @@ class FoldPass : public Pass {
     Folder(module, stats).run();
     return true;
   }
-};
-
-// ---------------------------------------------------------------------------
-// static-spec — static-schedule specialization
-// ---------------------------------------------------------------------------
-
-class StaticSpecPass : public Pass {
- public:
-  std::string name() const override { return "static-spec"; }
-
-  bool run(Module& module, lang::Diagnostics&, PassStats& stats) override {
-    module_ = &module;
-    stats_ = &stats;
-    visited_.clear();
-    for (auto& fn : module.functions) {
-      if (fn->is_outlined || fn->is_extern || !fn->body) continue;
-      // Outside any region the loop binds to the serial team; the win is in
-      // real teams, so specialization starts at fork sites.
-      visit(*fn->body, /*team_const=*/false);
-    }
-    return true;
-  }
-
- private:
-  static bool eligible(const Stmt& ws) {
-    if (ws.schedule.kind != ScheduleSpec::Kind::kStatic &&
-        ws.schedule.kind != ScheduleSpec::Kind::kUnspecified) {
-      return false;
-    }
-    if (ws.schedule.chunk || ws.ordered) return false;
-    if (!ws.body || ws.body->kind != Stmt::Kind::kForRange) return false;
-    return ws.body->expr && ws.body->expr->kind == Expr::Kind::kIntLit &&
-           ws.body->rhs && ws.body->rhs->kind == Expr::Kind::kIntLit;
-  }
-
-  void visit(Stmt& stmt, bool team_const) {
-    if (stmt.kind == Stmt::Kind::kOmpWsLoop && team_const && eligible(stmt)) {
-      stmt.static_spec = true;
-      ++stats_->static_specialized;
-    }
-    if (stmt.kind == Stmt::Kind::kOmpFork ||
-        stmt.kind == Stmt::Kind::kOmpTask ||
-        stmt.kind == Stmt::Kind::kOmpTaskloop) {
-      FnDecl* callee = module_->find_function(stmt.callee);
-      if (callee != nullptr && callee->is_outlined && callee->body &&
-          !visited_.contains(callee)) {
-        visited_.insert(callee);
-        // Tasks run on the enclosing team but a worksharing loop inside a
-        // task body is not a team construct we specialize; only a fork with
-        // a literal positive num_threads gives the constant team the issue's
-        // gate asks for. (The runtime fast path still reads the delivered
-        // team size, so a short pool acquire stays correct.)
-        const bool tc = stmt.kind == Stmt::Kind::kOmpFork && stmt.num_threads &&
-                        stmt.num_threads->kind == Expr::Kind::kIntLit &&
-                        stmt.num_threads->int_value > 0;
-        visit(*callee->body, tc);
-      }
-      return;
-    }
-    for (auto& s : stmt.stmts) visit(*s, team_const);
-    if (stmt.then_block) visit(*stmt.then_block, team_const);
-    if (stmt.else_block) visit(*stmt.else_block, team_const);
-    if (stmt.step) visit(*stmt.step, team_const);
-    if (stmt.body) visit(*stmt.body, team_const);
-  }
-
-  Module* module_ = nullptr;
-  PassStats* stats_ = nullptr;
-  std::unordered_set<const FnDecl*> visited_;
 };
 
 // ---------------------------------------------------------------------------
@@ -995,9 +926,6 @@ std::unique_ptr<Pass> make_omp_lower_pass() {
 }
 std::unique_ptr<Pass> make_sema_pass() { return std::make_unique<SemaPass>(); }
 std::unique_ptr<Pass> make_fold_pass() { return std::make_unique<FoldPass>(); }
-std::unique_ptr<Pass> make_static_spec_pass() {
-  return std::make_unique<StaticSpecPass>();
-}
 std::unique_ptr<Pass> make_fuse_pass() { return std::make_unique<FusePass>(); }
 std::unique_ptr<Pass> make_dce_hoist_pass() {
   return std::make_unique<DceHoistPass>();
@@ -1011,7 +939,6 @@ void build_default_pipeline(PassManager& pm, int opt_level, bool openmp) {
   pm.add(make_sema_pass());
   if (opt_level >= 1) {
     pm.add(make_fold_pass());
-    pm.add(make_static_spec_pass());
     pm.add(make_fuse_pass());
     pm.add(make_dce_hoist_pass());
     pm.add(make_verify_pass());

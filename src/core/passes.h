@@ -6,7 +6,7 @@
 // whole journey from parsed AST to backend-ready module is one inspectable
 // pass list (`mzc --dump-ir=<pass>` prints the module after any stage).
 //
-// At -O1 four optimization passes follow sema, in this order:
+// At -O1 three optimization passes follow sema, in this order:
 //
 //   fold         Directive-operand constant folding. Evaluates compile-time
 //                constant expressions feeding `num_threads`, `if`, `schedule`
@@ -15,12 +15,6 @@
 //                and propagates const values through by-value captures into
 //                the (unique) fork site's outlined body. `if(true)` clauses
 //                are deleted; `if(false)` becomes a literal false.
-//   static-spec  Static-schedule specialization. A chunkless schedule(static)
-//                loop with literal bounds inside a region with a literal
-//                num_threads is marked `static_spec`: backends lower it to
-//                one `zomp_static_range` call (a single contiguous [lo,hi)
-//                block per thread) instead of the strided static protocol,
-//                bypassing the dispatch machinery entirely.
 //   fuse         Parallel-region fusion. Two adjacent kOmpFork statements
 //                (nothing at all between them) whose clauses agree and whose
 //                data flow is barrier-safe merge into one outlined function:
@@ -40,10 +34,8 @@
 //     passes (`verify`) and re-resolves every symbol by name, so passes may
 //     leave Symbol*/FnDecl* fields stale or null but must keep names, scopes
 //     and capture/parameter lists consistent.
-//   * Metadata invariants: `static_spec` is only set on chunkless,
-//     non-ordered static loops with literal bounds; `hoist_depth` counts
-//     enclosing serial loops whose scopes declare none of the fork's
-//     captured names.
+//   * Metadata invariant: `hoist_depth` counts enclosing serial loops whose
+//     scopes declare none of the fork's captured names.
 //   * Passes mutate the module in place and return false only on an
 //     internal error (a pass bug), never on user-source conditions.
 #pragma once
@@ -64,7 +56,6 @@ namespace zomp::core {
 struct PassStats {
   TransformStats transform;   ///< filled by the omp-lower stage
   int folded_operands = 0;    ///< fold: expressions replaced / clauses dropped
-  int static_specialized = 0; ///< static-spec: loops marked
   int regions_fused = 0;      ///< fuse: pairs merged
   int dead_captures = 0;      ///< dce-hoist: captures+params removed
   int hoisted_forks = 0;      ///< dce-hoist: forks marked hoistable
@@ -108,13 +99,12 @@ class PassManager {
 std::unique_ptr<Pass> make_omp_lower_pass();
 std::unique_ptr<Pass> make_sema_pass();
 std::unique_ptr<Pass> make_fold_pass();
-std::unique_ptr<Pass> make_static_spec_pass();
 std::unique_ptr<Pass> make_fuse_pass();
 std::unique_ptr<Pass> make_dce_hoist_pass();
 std::unique_ptr<Pass> make_verify_pass();
 
 /// Assembles the standard pipeline. opt_level 0: omp-lower (when `openmp`),
-/// sema. opt_level >= 1: adds fold, static-spec, fuse, dce-hoist, verify.
+/// sema. opt_level >= 1: adds fold, fuse, dce-hoist, verify.
 void build_default_pipeline(PassManager& pm, int opt_level, bool openmp);
 
 }  // namespace zomp::core

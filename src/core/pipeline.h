@@ -5,7 +5,7 @@
 //
 // The pipeline after parsing is a PassManager (passes.h): `omp-lower` (the
 // directive engine) and `sema` run as the first two passes; `opt_level >= 1`
-// appends the optimizer (fold, static-spec, fuse, dce-hoist) plus a `verify`
+// appends the optimizer (fold, fuse, dce-hoist) plus a `verify`
 // re-analysis. `dump_ir` captures the module's S-expression dump after any
 // named pass — the observability hook behind `mzc --dump-ir=<pass>` and the
 // per-pass golden tests.

@@ -38,9 +38,8 @@
 //     propagation, fuse's parameter-union merge, and dce-hoist's
 //     capture+parameter removal all rely on.
 //   * Every loop is normalised to half-open [lo, hi) step 1 (collapse
-//     nests linearized first), which is what makes static-spec's literal
-//     bounds check and the backends' zomp_static_range lowering a plain
-//     pattern match.
+//     nests linearized first), so both backends lower every worksharing
+//     loop onto one stride-1 static-init or dispatch call.
 //   * The transform itself never folds, fuses, or marks anything — at -O0
 //     its output goes to the backends exactly as lowered, and every
 //     optimization above it must keep the module re-analyzable (the

@@ -578,7 +578,7 @@ class Exec {
         stmt.schedule.kind == ScheduleSpec::Kind::kRuntime;
 
     bool had_last = false;
-    // Cancellation escape shared by the three scheduling paths. `cancel for`
+    // Cancellation escape shared by both scheduling paths. `cancel for`
     // surfaces as Flow::kCancelLoop: stop issuing chunks and drain to the
     // closing barrier. A `cancel parallel` observed mid-loop surfaces as
     // Flow::kReturn with the team's parallel bit set: leave the whole region.
@@ -592,34 +592,24 @@ class Exec {
       }
       return false;
     };
-    if (!needs_dispatch && stmt.static_spec && chunk == 0) {
-      // Static-schedule specialization (optimizer static-spec pass): one
-      // contiguous block per thread, no stride stepping — the interpreter
-      // mirror of codegen's zomp_static_range lowering.
-      const rt::StaticRange r =
-          rt::static_block_range(lo, hi, ts.tid, team.size());
-      if (!dims.empty() && r.lo < r.hi) seed_dims(r.lo);
-      for (std::int64_t i = r.lo; i < r.hi; ++i) {
+    // Runs one chunk [clo, chi) of the linearized space; true when the body
+    // escaped, so the caller stops issuing chunks.
+    auto run_chunk = [&](std::int64_t clo, std::int64_t chi) {
+      if (!dims.empty() && clo < chi) seed_dims(clo);
+      for (std::int64_t i = clo; i < chi; ++i) {
         bind(loop.symbol, Value(i));
         bind_dims();
-        if (body_escapes(exec_stmt(*loop.body))) break;
+        if (body_escapes(exec_stmt(*loop.body))) return true;
         advance_dims();
       }
-      had_last = r.last;
-    } else if (!needs_dispatch) {
+      return false;
+    };
+    if (!needs_dispatch) {
       const rt::StaticRange r =
           rt::static_distribute(lo, hi, 1, chunk, ts.tid, team.size());
       const std::int64_t span = r.hi - r.lo;
-      for (std::int64_t block = r.lo; block < hi && out == Flow::kNormal;
-           block += r.stride) {
-        const std::int64_t end = std::min(block + span, hi);
-        if (!dims.empty()) seed_dims(block);
-        for (std::int64_t i = block; i < end; ++i) {
-          bind(loop.symbol, Value(i));
-          bind_dims();
-          if (body_escapes(exec_stmt(*loop.body))) break;
-          advance_dims();
-        }
+      for (std::int64_t block = r.lo; block < hi; block += r.stride) {
+        if (run_chunk(block, std::min(block + span, hi))) break;
       }
       had_last = r.last;
     } else {
@@ -627,14 +617,8 @@ class Exec {
                          1);
       std::int64_t clo = 0, chi = 0;
       bool last = false;
-      while (out == Flow::kNormal && team.dispatch_next(ts, &clo, &chi, &last)) {
-        if (!dims.empty()) seed_dims(clo);
-        for (std::int64_t i = clo; i < chi; ++i) {
-          bind(loop.symbol, Value(i));
-          bind_dims();
-          if (body_escapes(exec_stmt(*loop.body))) break;
-          advance_dims();
-        }
+      while (team.dispatch_next(ts, &clo, &chi, &last)) {
+        if (run_chunk(clo, chi)) break;
         if (last) had_last = true;
       }
       // An escaped chunk leaves this thread mid-dispatch; detach its slot so

@@ -313,14 +313,6 @@ struct Stmt {
   std::vector<CollapseDim> collapse;
   bool nowait = false;
   bool ordered = false;
-  /// Set by the optimizer's static-specialization pass: the loop is
-  /// schedule(static) with no chunk, not ordered, and its bounds are integer
-  /// literals, so backends may lower it to one `zomp_static_range` call (a
-  /// single contiguous [lo,hi) block per thread) instead of the full
-  /// static-init strided protocol. Semantics are identical to the blocked
-  /// static distribution; the runtime still sizes blocks from the *actual*
-  /// team, so a smaller-than-requested team stays correct.
-  bool static_spec = false;
   /// lastprivate entries as {private local, writeback target} name pairs.
   std::vector<std::pair<std::string, std::string>> lastprivate;
   /// Resolved counterparts of `lastprivate` (sema), same order.

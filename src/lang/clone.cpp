@@ -64,7 +64,6 @@ StmtPtr clone_stmt(const Stmt& stmt) {
   }
   copy->nowait = stmt.nowait;
   copy->ordered = stmt.ordered;
-  copy->static_spec = stmt.static_spec;
   copy->lastprivate = stmt.lastprivate;
   copy->target = stmt.target;
   copy->reduce_op = stmt.reduce_op;

@@ -115,17 +115,6 @@ void zomp_for_static_fini(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/) {
   // static path keeps no shared state.
 }
 
-void zomp_static_range(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
-                       std::int64_t lo, std::int64_t hi, std::int64_t* plo,
-                       std::int64_t* phi, std::int32_t* plast) {
-  ThreadState& ts = current_thread();
-  const zomp::rt::StaticRange r =
-      zomp::rt::static_block_range(lo, hi, ts.tid, ts.team->size());
-  *plo = r.lo;
-  *phi = r.hi;
-  *plast = r.last ? 1 : 0;
-}
-
 void zomp_dispatch_init(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                         std::int32_t sched_kind, std::int64_t chunk,
                         std::int64_t lo, std::int64_t hi, std::int64_t step) {

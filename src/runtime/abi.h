@@ -80,17 +80,6 @@ void zomp_for_static_init(const zomp_ident_t* loc, std::int32_t gtid,
 /// shape parity with __kmpc_for_static_fini).
 void zomp_for_static_fini(const zomp_ident_t* loc, std::int32_t gtid);
 
-/// Optimizer fast path (mzc -O1 `static-spec`): the chunkless step-1
-/// schedule(static) case collapsed to one call — this thread's single
-/// contiguous block [*plo, *phi) of [lo, hi), with *plast set when the block
-/// ends at hi. Block shapes (and the lastprivate owner) are identical to
-/// zomp_for_static_init with chunk <= 0 and step 1; the block is computed
-/// from the team actually delivered at fork, so a short pool acquire cannot
-/// change the loop's results. No init/fini pairing, no dispatch ring.
-void zomp_static_range(const zomp_ident_t* loc, std::int32_t gtid,
-                       std::int64_t lo, std::int64_t hi, std::int64_t* plo,
-                       std::int64_t* phi, std::int32_t* plast);
-
 /// Dynamic/guided/runtime/auto schedules. `sched_kind` takes the
 /// zomp::rt::ScheduleKind values (0 static, 1 dynamic, 2 guided, 3 auto,
 /// 4 runtime).

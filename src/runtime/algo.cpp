@@ -86,7 +86,7 @@ void scan_run(i64 n, const void* init, const ScanOps& ops,
         rt::Team& team = *ts.team;
         const i32 w = team.size();
         const i32 t = ts.tid;
-        const rt::StaticRange r = rt::static_block_range(0, n, t, w);
+        const rt::StaticRange r = rt::static_distribute(0, n, 1, 0, t, w);
 
         unsigned char sum[rt::PhaseSync::kSlotBytes];
         const bool have_sum = r.hi > r.lo;
@@ -161,7 +161,7 @@ void counting_sort_run(i64 n, i64 nbuckets, const CountingOps& ops,
         rt::Team& team = *ts.team;
         const i32 w = team.size();
         const i32 t = ts.tid;
-        const rt::StaticRange r = rt::static_block_range(0, n, t, w);
+        const rt::StaticRange r = rt::static_distribute(0, n, 1, 0, t, w);
         i64* row = counts.data() +
                    static_cast<std::size_t>(t) * static_cast<std::size_t>(nbuckets);
         std::fill(row, row + nbuckets, i64{0});
@@ -272,7 +272,7 @@ void radix_impl(K* keys, i64 n, K mask, const Options& opts) {
         rt::Team& team = *ts.team;
         const i32 w = team.size();
         const i32 t = ts.tid;
-        const rt::StaticRange r = rt::static_block_range(0, n, t, w);
+        const rt::StaticRange r = rt::static_distribute(0, n, 1, 0, t, w);
 
         // Phase 1: per-member top-digit histogram of its slice.
         i64* row = hist.data() + static_cast<std::size_t>(t) * kBuckets;
@@ -394,7 +394,7 @@ i64 top_k_run(i64 n, i64 k, const TopKOps& ops, void* result,
         rt::ThreadState& ts = rt::current_thread();
         rt::Team& team = *ts.team;
         const rt::StaticRange r =
-            rt::static_block_range(0, n, ts.tid, team.size());
+            rt::static_distribute(0, n, 1, 0, ts.tid, team.size());
         if (r.hi > r.lo) {
           counts[static_cast<std::size_t>(ts.tid)] = ops.local_topk(
               ops.ctx, r.lo, r.hi,

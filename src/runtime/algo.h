@@ -317,7 +317,7 @@ T reduce(const T* in, rt::i64 n, T init, Op op, Options opts = {}) {
         rt::ThreadState& ts = rt::current_thread();
         rt::Team& team = *ts.team;
         const rt::StaticRange r =
-            rt::static_block_range(0, n, ts.tid, team.size());
+            rt::static_distribute(0, n, 1, 0, ts.tid, team.size());
         Packet local{};
         local.has = r.hi > r.lo ? 1 : 0;
         if (local.has) {
@@ -381,7 +381,7 @@ void histogram(const T* in, rt::i64 n, rt::u64* bins, rt::i64 nbins,
         rt::Team& team = *ts.team;
         std::vector<rt::u64> local(static_cast<std::size_t>(nbins), 0);
         const rt::StaticRange r =
-            rt::static_block_range(0, n, ts.tid, team.size());
+            rt::static_distribute(0, n, 1, 0, ts.tid, team.size());
         for (rt::i64 i = r.lo; i < r.hi; ++i) ++local[bin_of(in[i])];
         const auto sum_bins = [](void* ctx, void* lhs, const void* rhs) {
           const rt::i64 nb = *static_cast<const rt::i64*>(ctx);

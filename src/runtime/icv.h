@@ -63,7 +63,6 @@ class GlobalIcv {
 
   // Setters back the omp_set_* style API; they affect regions forked after
   // the call, matching the spec's "most recent enclosing" wording.
-  void set_default_team_size(i32 n);
   void set_dynamic(bool dyn) { dynamic_default_ = dyn; }
   bool dynamic_default() const { return dynamic_default_; }
   void set_max_active_levels(i32 levels);
@@ -87,7 +86,6 @@ class GlobalIcv {
   /// or `false`) answers kFalse, which keeps binding entirely off unless a
   /// proc_bind clause asks for it.
   BindKind bind_at(i32 index) const;
-  bool has_proc_bind() const { return !proc_bind_list_.empty(); }
   /// Replaces the list (tests; mirrors set_wait_policy's region-boundary
   /// visibility — only forks after the call observe it).
   void set_proc_bind_list(std::vector<BindKind> list);

@@ -387,13 +387,38 @@ bool Team::barrier_wait(i32 tid) {
     return true;
   }
   trace_emit(TraceEv::kBarrierEnter, kBarrierKindUser);
-  const bool abandoned = barrier_wait_body(tid);
+  const bool abandoned = episode<true>(bar_arrived_, bar_epoch_, tid);
   trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindUser, abandoned ? 1 : 0);
   return abandoned;
 }
 
-bool Team::barrier_wait_body(i32 tid) {
+void Team::join_barrier_wait(i32 tid) {
+  // The region-end rendezvous: the user barrier's protocol minus every
+  // cancellation check, on its own counters. After a `cancel parallel` the
+  // survivors skipped arbitrarily many user barriers, so bar_epoch_ is no
+  // longer meaningful team-wide; join_epoch_ is, because nobody ever skips
+  // a join. Discarded tasks drain HERE: execute_task skips their bodies but
+  // runs all accounting, so outstanding() reaches zero without running user
+  // code.
+  trace_emit(TraceEv::kBarrierEnter, kBarrierKindJoin);
+  episode<false>(join_arrived_, join_epoch_, tid);
+  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindJoin);
+}
+
+template <bool kCancellable>
+bool Team::episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch,
+                   i32 tid) {
   ThreadState& ts = member(tid);
+  // Only the user barrier observes `cancel parallel`; in the join barrier
+  // this is a constant false and every check below compiles away.
+  const auto cancelled = [this] {
+    if constexpr (kCancellable) {
+      return (cancel_request_.load(std::memory_order_seq_cst) &
+              kCancelParallel) != 0;
+    } else {
+      return false;
+    }
+  };
   if (size() == 1) {
     Backoff backoff;
     while (tasks_.outstanding() > 0) {
@@ -401,80 +426,82 @@ bool Team::barrier_wait_body(i32 tid) {
     }
     // A completed barrier closes the innermost loop construct: clear any
     // pending loop-cancel so the next loop of the region starts clean.
-    cancel_request_.fetch_and(~kCancelLoop, std::memory_order_relaxed);
-    if (ts.current_task->deps != nullptr &&
-        ts.current_task->children.load(std::memory_order_acquire) == 0) {
-      ts.current_task->deps.reset();
+    if constexpr (kCancellable) {
+      cancel_request_.fetch_and(~kCancelLoop, std::memory_order_relaxed);
     }
-    return false;
-  }
-  const u64 epoch = bar_epoch_.load(std::memory_order_acquire);
-  if (bar_arrived_.fetch_add(1, std::memory_order_acq_rel) == size() - 1) {
-    // Last arriver: drain the team's tasks (helping), then open the gate.
-    Backoff backoff;
-    while (tasks_.outstanding() > 0) {
-      if (run_one_task(ts)) {
-        backoff.reset();
-      } else {
-        backoff.pause();
-      }
-    }
-    // Cancelled loops always end in a barrier (cancellable worksharing must
-    // not be nowait), so a completed episode is exactly where the loop bit
-    // dies: the construct it named is over for every member.
-    cancel_request_.fetch_and(~kCancelLoop, std::memory_order_relaxed);
-    bar_arrived_.store(0, std::memory_order_relaxed);
-    // seq_cst epoch store: the WaitGate park below keys on it (the classic
-    // store-load pairing documented in barrier.h).
-    bar_epoch_.store(epoch + 1, std::memory_order_seq_cst);
-    bar_gate_.wake_all();
   } else {
-    const i32 grace = doorbell_grace_rounds();
-    Backoff backoff;
-    i32 rounds = 0;
-    while (bar_epoch_.load(std::memory_order_seq_cst) == epoch) {
-      // Cancellation re-check: the canceller never arrives, so without this
-      // the waiters would park forever. Each abandoner rolls back its own
-      // arrival, returning the count to zero once all survivors left —
-      // the epoch never advances and the episode simply evaporates.
-      if (cancel_request_.load(std::memory_order_seq_cst) & kCancelParallel) {
-        bar_arrived_.fetch_sub(1, std::memory_order_acq_rel);
-        return true;
+    const u64 seen = epoch.load(std::memory_order_acquire);
+    if (arrived.fetch_add(1, std::memory_order_acq_rel) == size() - 1) {
+      // Last arriver: drain the team's tasks (helping), then open the gate.
+      Backoff backoff;
+      while (tasks_.outstanding() > 0) {
+        if (run_one_task(ts)) {
+          backoff.reset();
+        } else {
+          backoff.pause();
+        }
       }
-      // Help with explicit tasks, but only when some are STEALABLE: the
-      // common task-free region (every NPB kernel) must not pay a full
-      // deque scan per wait iteration — one shared-counter load keeps the
-      // barrier's spin body at two loads — and a task merely *executing*
-      // elsewhere offers nothing to help with.
-      if (tasks_.queued() > 0 && run_one_task(ts)) {
-        backoff.reset();
+      // Cancelled loops always end in a barrier (cancellable worksharing
+      // must not be nowait), so a completed episode is exactly where the
+      // loop bit dies: the construct it named is over for every member.
+      if constexpr (kCancellable) {
+        cancel_request_.fetch_and(~kCancelLoop, std::memory_order_relaxed);
+      }
+      arrived.store(0, std::memory_order_relaxed);
+      // seq_cst epoch store: the WaitGate park below keys on it (the classic
+      // store-load pairing documented in barrier.h).
+      epoch.store(seen + 1, std::memory_order_seq_cst);
+      bar_gate_.wake_all();
+    } else {
+      const i32 grace = doorbell_grace_rounds();
+      Backoff backoff;
+      i32 rounds = 0;
+      while (epoch.load(std::memory_order_seq_cst) == seen) {
+        // Cancellation re-check: the canceller never arrives, so without
+        // this the waiters would park forever. Each abandoner rolls back its
+        // own arrival, returning the count to zero once all survivors left —
+        // the epoch never advances and the episode simply evaporates.
+        if (cancelled()) {
+          arrived.fetch_sub(1, std::memory_order_acq_rel);
+          return true;
+        }
+        // Help with explicit tasks, but only when some are STEALABLE: the
+        // common task-free region (every NPB kernel) must not pay a full
+        // deque scan per wait iteration — one shared-counter load keeps the
+        // barrier's spin body at two loads — and a task merely *executing*
+        // elsewhere offers nothing to help with.
+        if (tasks_.queued() > 0 && run_one_task(ts)) {
+          backoff.reset();
+          rounds = 0;
+          continue;
+        }
+        if (rounds < grace) {
+          ++rounds;
+          backoff.pause();
+          continue;
+        }
+        // Grace expired — a long serial phase on the last arriver, a passive
+        // wait policy, or an oversubscribed process: condvar-park instead of
+        // yielding forever. Woken by the epoch flip or by a task enqueue
+        // (enqueue_task), whose seq_cst publications pair with the seq_cst
+        // predicate loads here; the grace itself mirrors the worker doorbell
+        // so hot back-to-back joins never touch the futex. The predicate
+        // keys on queued() — stealable work — NOT outstanding(): one long
+        // task executing elsewhere must leave the waiters asleep, not
+        // cycling grace-spin/instant-unpark for its whole duration. In the
+        // user barrier it also keys on the cancel flag: cancel_activate's
+        // wake_all must find the parked waiters willing to get up and
+        // abandon. Both barriers share bar_gate_: a wake meant for the other
+        // episode is a spurious unpark (the predicate re-check re-parks), a
+        // missed wake is impossible because both publish with seq_cst
+        // stores before wake_all.
+        bar_gate_.park([&] {
+          return epoch.load(std::memory_order_seq_cst) != seen ||
+                 cancelled() || tasks_.queued() > 0;
+        });
         rounds = 0;
-        continue;
+        backoff.reset();
       }
-      if (rounds < grace) {
-        ++rounds;
-        backoff.pause();
-        continue;
-      }
-      // Grace expired — a long serial phase on the last arriver, a passive
-      // wait policy, or an oversubscribed process: condvar-park instead of
-      // yielding forever (ROADMAP barrier item). Woken by the epoch flip or
-      // by a task enqueue (enqueue_task), whose seq_cst publications pair
-      // with the seq_cst predicate loads here; the grace itself mirrors the
-      // worker doorbell so hot back-to-back joins never touch the futex.
-      // The predicate keys on queued() — stealable work — NOT outstanding():
-      // one long task executing elsewhere must leave the waiters asleep, not
-      // cycling grace-spin/instant-unpark for its whole duration. It also
-      // keys on the cancel flag: cancel_activate's wake_all must find the
-      // parked waiters willing to get up and abandon.
-      bar_gate_.park([&] {
-        return bar_epoch_.load(std::memory_order_seq_cst) != epoch ||
-               (cancel_request_.load(std::memory_order_seq_cst) &
-                kCancelParallel) != 0 ||
-               tasks_.queued() > 0;
-      });
-      rounds = 0;
-      backoff.reset();
     }
   }
   // The member's dependence wavefront cannot outlive a full barrier (every
@@ -485,78 +512,6 @@ bool Team::barrier_wait_body(i32 tid) {
     ts.current_task->deps.reset();
   }
   return false;
-}
-
-void Team::join_barrier_wait(i32 tid) {
-  trace_emit(TraceEv::kBarrierEnter, kBarrierKindJoin);
-  join_barrier_wait_body(tid);
-  trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindJoin);
-}
-
-void Team::join_barrier_wait_body(i32 tid) {
-  // The region-end rendezvous: the user barrier's protocol minus every
-  // cancellation check, on its own counters. After a `cancel parallel` the
-  // survivors skipped arbitrarily many user barriers, so bar_epoch_ is no
-  // longer meaningful team-wide; join_epoch_ is, because nobody ever skips
-  // a join. Discarded tasks drain HERE: execute_task skips their bodies but
-  // runs all accounting, so outstanding() reaches zero without running user
-  // code.
-  ThreadState& ts = member(tid);
-  if (size() == 1) {
-    Backoff backoff;
-    while (tasks_.outstanding() > 0) {
-      if (!run_one_task(ts)) backoff.pause();
-    }
-    if (ts.current_task->deps != nullptr &&
-        ts.current_task->children.load(std::memory_order_acquire) == 0) {
-      ts.current_task->deps.reset();
-    }
-    return;
-  }
-  const u64 epoch = join_epoch_.load(std::memory_order_acquire);
-  if (join_arrived_.fetch_add(1, std::memory_order_acq_rel) == size() - 1) {
-    Backoff backoff;
-    while (tasks_.outstanding() > 0) {
-      if (run_one_task(ts)) {
-        backoff.reset();
-      } else {
-        backoff.pause();
-      }
-    }
-    join_arrived_.store(0, std::memory_order_relaxed);
-    join_epoch_.store(epoch + 1, std::memory_order_seq_cst);
-    bar_gate_.wake_all();
-  } else {
-    const i32 grace = doorbell_grace_rounds();
-    Backoff backoff;
-    i32 rounds = 0;
-    while (join_epoch_.load(std::memory_order_seq_cst) == epoch) {
-      if (tasks_.queued() > 0 && run_one_task(ts)) {
-        backoff.reset();
-        rounds = 0;
-        continue;
-      }
-      if (rounds < grace) {
-        ++rounds;
-        backoff.pause();
-        continue;
-      }
-      // Shares bar_gate_ with the user barrier: a wake meant for the other
-      // episode is a spurious unpark (the predicate re-check re-parks), a
-      // missed wake is impossible because both protocols publish with
-      // seq_cst stores before wake_all.
-      bar_gate_.park([&] {
-        return join_epoch_.load(std::memory_order_seq_cst) != epoch ||
-               tasks_.queued() > 0;
-      });
-      rounds = 0;
-      backoff.reset();
-    }
-  }
-  if (ts.current_task->deps != nullptr &&
-      ts.current_task->children.load(std::memory_order_acquire) == 0) {
-    ts.current_task->deps.reset();
-  }
 }
 
 bool Team::cancel_activate(ThreadState& ts, i32 construct) {

@@ -404,10 +404,13 @@ class Team {
  private:
   static constexpr i32 kDispatchRing = 8;
 
-  /// The barrier protocols themselves; the public entry points wrap them
-  /// with the S12 observability hooks (episode events + wait-time metrics).
-  bool barrier_wait_body(i32 tid);
-  void join_barrier_wait_body(i32 tid);
+  /// One task-aware sense-barrier episode on the given arrival counter and
+  /// epoch; the user barrier (`kCancellable`: abandons on `cancel parallel`,
+  /// returning true, and clears the loop-cancel bit) and the join barrier
+  /// both run it. The public entry points wrap it with the S12 episode
+  /// events.
+  template <bool kCancellable>
+  bool episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch, i32 tid);
   /// Default taskloop chunking (neither grainsize nor num_tasks): this many
   /// chunks per team member, enough slack for stealing to balance uneven
   /// chunk costs while keeping per-task overhead amortised.

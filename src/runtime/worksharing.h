@@ -41,14 +41,6 @@ struct StaticRange {
 StaticRange static_distribute(i64 lo, i64 hi, i64 step, i64 chunk, i32 tid,
                               i32 nthreads);
 
-/// Compile-time-specialized fast path (the optimizer's `static-spec` pass,
-/// ABI entry `zomp_static_range`): the blocked chunkless step-1 case of
-/// static_distribute, reduced to one contiguous [lo, hi) block per thread —
-/// no stride, no chunk math, no dispatch ring. Produces bit-identical
-/// assignments (including `last`) to
-/// `static_distribute(lo, hi, /*step=*/1, /*chunk=*/0, tid, nthreads)`.
-StaticRange static_block_range(i64 lo, i64 hi, i32 tid, i32 nthreads);
-
 /// Trip count of the normalised loop [lo, hi) step `step` (> 0).
 constexpr i64 trip_count(i64 lo, i64 hi, i64 step) {
   return hi > lo ? (hi - lo + step - 1) / step : 0;

@@ -17,8 +17,8 @@
 //   --main         emit an `int main()` wrapper around `pub fn main`
 //   --no-omp       ignore //#omp directives (serial build, stock-Zig view)
 //   --module NAME  module/namespace name (default: input basename)
-//   -O0 / -O1      optimizer level (default -O1: fold, static-spec, fuse,
-//                  dce-hoist — see core/passes.h)
+//   -O0 / -O1      optimizer level (default -O1: fold, fuse, dce-hoist —
+//                  see core/passes.h)
 //   --dump-ir=PASS print the module's IR after pass PASS to stdout (one of
 //                  the pipeline pass names, or "all"; repeatable)
 //   --dump-ast     print the transformed AST instead of generating code
@@ -149,11 +149,9 @@ int main(int argc, char** argv) {
                  result.stats.ws_loops, result.stats.tasks_outlined);
     if (opt_level >= 1) {
       std::fprintf(stderr,
-                   "mzc: -O1: %d operands folded, %d static-specialized "
-                   "loops, %d regions fused, %d dead captures, %d hoisted "
-                   "forks\n",
+                   "mzc: -O1: %d operands folded, %d regions fused, %d dead "
+                   "captures, %d hoisted forks\n",
                    result.pass_stats.folded_operands,
-                   result.pass_stats.static_specialized,
                    result.pass_stats.regions_fused,
                    result.pass_stats.dead_captures,
                    result.pass_stats.hoisted_forks);

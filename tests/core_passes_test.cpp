@@ -3,8 +3,8 @@
 // (CompileOptions::dump_ir, the same hook behind `mzc --dump-ir=<pass>`)
 // plus the PassStats counters, and every fusion legality rule has a
 // negative test proving the pass refuses the unsafe shape. A final
-// interpreter smoke run checks that a fused + static-specialized +
-// folded module still computes the same answers as the -O0 module.
+// interpreter smoke run checks that a fused + folded module still computes
+// the same answers as the -O0 module.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -44,8 +44,8 @@ bool contains(const std::string& haystack, const std::string& needle) {
 
 // Two adjacent, clause-compatible regions over constant bounds and a
 // constant team: the canonical input every optimizer pass fires on
-// (fold the bounds + team, static-specialize both loops, fuse the pair,
-// then drop the now-dead `n` capture).
+// (fold the bounds + team, fuse the pair, then drop the now-dead `n`
+// capture).
 const char* kTwoRegions = R"(
 pub fn sum_two(out: []i64) void {
   const n: i64 = 1024;
@@ -70,8 +70,7 @@ TEST(PassPipelineTest, DefaultPipelineOrder) {
   PassManager o1;
   build_default_pipeline(o1, /*opt_level=*/1, /*openmp=*/true);
   const std::vector<std::string> expected = {
-      "omp-lower", "sema", "fold", "static-spec", "fuse", "dce-hoist",
-      "verify"};
+      "omp-lower", "sema", "fold", "fuse", "dce-hoist", "verify"};
   EXPECT_EQ(o1.pass_names(), expected);
 
   PassManager o0;
@@ -91,11 +90,9 @@ TEST(PassPipelineTest, OptLevelZeroRunsNoOptimizerPass) {
 
   // ...and no optimizer marker reached the module.
   const std::string& final_ir = result.ir_dumps.back().second;
-  EXPECT_FALSE(contains(final_ir, "static-spec"));
   EXPECT_FALSE(contains(final_ir, "hoist@"));
   EXPECT_FALSE(contains(final_ir, "__omp_fused"));
   EXPECT_EQ(result.pass_stats.folded_operands, 0);
-  EXPECT_EQ(result.pass_stats.static_specialized, 0);
   EXPECT_EQ(result.pass_stats.regions_fused, 0);
   EXPECT_EQ(result.pass_stats.dead_captures, 0);
   EXPECT_EQ(result.pass_stats.hoisted_forks, 0);
@@ -147,73 +144,6 @@ pub fn fill(a: []i64, n: i64) void {
   // `t` is mutable and `n` is a parameter: neither may be literalized.
   EXPECT_TRUE(contains(after, "num_threads=t")) << after;
   EXPECT_TRUE(contains(after, "0 .. n")) << after;
-  EXPECT_EQ(result.pass_stats.static_specialized, 0);
-}
-
-// -- static-spec ------------------------------------------------------------
-
-TEST(StaticSpecPassTest, MarksChunklessStaticLoopsWithConstantShape) {
-  auto result = compile_at(kTwoRegions, /*opt_level=*/1);
-  ASSERT_TRUE(result.ok) << result.diagnostics_text();
-
-  EXPECT_FALSE(contains(dump_after(result, "fold"), "static-spec"));
-  const std::string after = dump_after(result, "static-spec");
-  EXPECT_TRUE(contains(after, "static-spec")) << after;
-  EXPECT_EQ(result.pass_stats.static_specialized, 2);
-}
-
-TEST(StaticSpecPassTest, RequiresLiteralTeamSize) {
-  // Same loops, no num_threads clause: the team size is a runtime ICV, so
-  // specialization must not fire even though the bounds fold to literals.
-  auto result = compile_at(R"(
-pub fn sum(out: []i64) void {
-  const n: i64 = 1024;
-  var s: i64 = 0;
-  //#omp parallel for reduction(+: s)
-  for (0..n) |i| {
-    s += i;
-  }
-  out[0] = s;
-}
-)",
-                           /*opt_level=*/1);
-  ASSERT_TRUE(result.ok) << result.diagnostics_text();
-  EXPECT_EQ(result.pass_stats.static_specialized, 0);
-  EXPECT_FALSE(contains(dump_after(result, "static-spec"), "static-spec"));
-}
-
-TEST(StaticSpecPassTest, RefusesDynamicAndChunkedSchedules) {
-  auto dynamic = compile_at(R"(
-pub fn sum(out: []i64) void {
-  const n: i64 = 1024;
-  var s: i64 = 0;
-  //#omp parallel for reduction(+: s) num_threads(4) schedule(dynamic)
-  for (0..n) |i| {
-    s += i;
-  }
-  out[0] = s;
-}
-)",
-                            /*opt_level=*/1);
-  ASSERT_TRUE(dynamic.ok) << dynamic.diagnostics_text();
-  EXPECT_EQ(dynamic.pass_stats.static_specialized, 0);
-
-  auto chunked = compile_at(R"(
-pub fn sum(out: []i64) void {
-  const n: i64 = 1024;
-  var s: i64 = 0;
-  //#omp parallel for reduction(+: s) num_threads(4) schedule(static, 8)
-  for (0..n) |i| {
-    s += i;
-  }
-  out[0] = s;
-}
-)",
-                            /*opt_level=*/1);
-  ASSERT_TRUE(chunked.ok) << chunked.diagnostics_text();
-  // A chunked static schedule prescribes round-robin chunk ownership the
-  // single-block specialization would violate.
-  EXPECT_EQ(chunked.pass_stats.static_specialized, 0);
 }
 
 // -- fuse -------------------------------------------------------------------
@@ -511,8 +441,8 @@ pub fn iterate(a: []i64) void {
 
 // -- end-to-end semantics ---------------------------------------------------
 
-// The optimized module (folded + both loops static-specialized + regions
-// fused with a relaxed tail barrier + dead capture dropped) must compute
+// The optimized module (folded + regions fused with a relaxed tail
+// barrier + dead capture dropped) must compute
 // exactly what the -O0 module does, lastprivate writeback included.
 TEST(PassPipelineTest, OptimizedModuleMatchesO0Semantics) {
   const char* source = R"(
@@ -540,7 +470,7 @@ pub fn run(out: []i64) void {
   ASSERT_TRUE(o1.ok) << o1.diagnostics_text();
   // Prove the optimized path is what actually runs below.
   EXPECT_EQ(o1.pass_stats.regions_fused, 1);
-  EXPECT_EQ(o1.pass_stats.static_specialized, 2);
+  EXPECT_GE(o1.pass_stats.folded_operands, 1);
 
   auto o0 = compile_at(source, /*opt_level=*/0, /*dump_ir=*/{});
   ASSERT_TRUE(o0.ok) << o0.diagnostics_text();

@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cancel_mz.h"
@@ -100,6 +102,37 @@ TEST_F(CancelTest, CancelParallelAbandonsBarriersAndTeamRecovers) {
         clean.fetch_add(1);
       },
       zomp::ParallelOptions{4});
+  EXPECT_EQ(clean.load(), 4);
+}
+
+TEST_F(CancelTest, ParkedBarrierWaitersAbandonOnCancelParallel) {
+  // Members 1-3 outlast the doorbell grace (the passive policy parks almost
+  // immediately) and condvar-park inside the barrier before tid 0 cancels.
+  // Only the park predicate's cancel clause lets cancel_activate's wake_all
+  // get them up to abandon; without it they would re-park forever.
+  const auto saved = zomp::get_wait_policy();
+  zomp::set_wait_policy(WaitPolicy::kPassive);
+  std::atomic<int> abandoned{0};
+  zomp::parallel(
+      [&] {
+        ThreadState& ts = current_thread();
+        if (ts.tid == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          EXPECT_TRUE(ts.team->cancel_activate(ts, Team::kCancelParallel));
+          return;
+        }
+        if (zomp::barrier()) abandoned.fetch_add(1);
+      },
+      zomp::ParallelOptions{4});
+
+  std::atomic<int> clean{0};
+  zomp::parallel(
+      [&] {
+        if (!zomp::barrier()) clean.fetch_add(1);
+      },
+      zomp::ParallelOptions{4});
+  zomp::set_wait_policy(saved);
+  EXPECT_EQ(abandoned.load(), 3);
   EXPECT_EQ(clean.load(), 4);
 }
 
