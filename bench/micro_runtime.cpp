@@ -545,19 +545,22 @@ ZOMP_BENCHMARK(BM_TaskSpawnDrain)->Arg(64)->Arg(512)->Unit(benchmark::kMicroseco
 // cursor stays measurable on any machine in a single run.
 // ---------------------------------------------------------------------------
 
-/// The seed TaskPool: one mutex-guarded std::deque per member.
+/// The seed TaskPool: one mutex-guarded std::deque per member, with the
+/// seed's own outstanding-task counter (the runtime pool has none: its
+/// barriers drain on the implicit tasks' child counts, and these benches
+/// stop a lock-free drain on queued() == 0).
 class MutexTaskPool {
  public:
   explicit MutexTaskPool(int members) : queues_(members) {}
 
-  void push(int tid, std::unique_ptr<zomp::rt::Task> task) {
+  void push(int tid, zomp::rt::TaskPtr task) {
     outstanding_.fetch_add(1, std::memory_order_acq_rel);
     MemberQueue& q = queues_[static_cast<std::size_t>(tid)];
     const std::lock_guard<std::mutex> lock(q.mutex);
     q.deque.push_back(std::move(task));
   }
 
-  std::unique_ptr<zomp::rt::Task> take(int tid) {
+  zomp::rt::TaskPtr take(int tid) {
     const int n = static_cast<int>(queues_.size());
     {
       MemberQueue& q = queues_[static_cast<std::size_t>(tid)];
@@ -588,15 +591,15 @@ class MutexTaskPool {
  private:
   struct alignas(zomp::rt::kCacheLine) MemberQueue {
     std::mutex mutex;
-    std::deque<std::unique_ptr<zomp::rt::Task>> deque;
+    std::deque<zomp::rt::TaskPtr> deque;
   };
   std::deque<MemberQueue> queues_;
   alignas(zomp::rt::kCacheLine) std::atomic<std::int64_t> outstanding_{0};
 };
 
-std::unique_ptr<zomp::rt::Task> make_dummy_task(zomp::rt::TaskContext* parent) {
-  auto t = std::make_unique<zomp::rt::Task>();
-  t->body = [] {};
+zomp::rt::TaskPtr make_dummy_task(zomp::rt::TaskContext* parent) {
+  zomp::rt::TaskPtr t = zomp::rt::acquire_task_record();
+  t->place([] {});
   t->parent = parent;
   return t;
 }
@@ -611,14 +614,14 @@ void BM_TaskQueueOwnerOps(benchmark::State& state) {
   zomp::rt::TaskContext parent;
   zomp::rt::TaskPool ws_pool(1);
   MutexTaskPool mutex_pool(1);
-  std::vector<std::unique_ptr<zomp::rt::Task>> arena;
+  std::vector<zomp::rt::TaskPtr> arena;
   arena.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) arena.push_back(make_dummy_task(&parent));
   std::vector<zomp::rt::Task*> raw(kBurst);
   for (int i = 0; i < kBurst; ++i) raw[static_cast<std::size_t>(i)] = arena[static_cast<std::size_t>(i)].get();
   for (auto _ : state) {
     for (int i = 0; i < kBurst; ++i) {
-      std::unique_ptr<zomp::rt::Task> t(raw[static_cast<std::size_t>(i)]);
+      zomp::rt::TaskPtr t(raw[static_cast<std::size_t>(i)]);
       if (lockfree) {
         if (auto rejected = ws_pool.push(0, std::move(t))) {
           rejected.release();  // kBurst < capacity, so this never fires
@@ -634,8 +637,7 @@ void BM_TaskQueueOwnerOps(benchmark::State& state) {
         state.SkipWithError("queue lost a task");
         break;
       }
-      (lockfree ? static_cast<void>(ws_pool.mark_finished())
-                : mutex_pool.mark_finished());
+      if (!lockfree) mutex_pool.mark_finished();
       t.release();  // back to the arena; freed once by `arena` at teardown
     }
   }
@@ -674,10 +676,9 @@ void BM_TaskQueueStealDrain(benchmark::State& state) {
         for (;;) {
           auto task = lockfree ? ws_pool->take(t) : mutex_pool->take(t);
           if (task) {
-            (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                      : mutex_pool->mark_finished());
+            if (!lockfree) mutex_pool->mark_finished();
             drained.fetch_add(1, std::memory_order_relaxed);
-          } else if ((lockfree ? ws_pool->outstanding()
+          } else if ((lockfree ? ws_pool->queued()
                                : mutex_pool->outstanding()) == 0) {
             return;
           }
@@ -722,12 +723,11 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
         for (;;) {
           auto task = lockfree ? ws_pool->take(t) : mutex_pool->take(t);
           if (task) {
-            (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                      : mutex_pool->mark_finished());
+            if (!lockfree) mutex_pool->mark_finished();
             done.fetch_add(1, std::memory_order_relaxed);
             backoff.reset();
           } else if (!producing.load(std::memory_order_acquire) &&
-                     (lockfree ? ws_pool->outstanding()
+                     (lockfree ? ws_pool->queued()
                                : mutex_pool->outstanding()) == 0) {
             return;
           } else {
@@ -750,10 +750,9 @@ void BM_TaskSpawnStealThroughput(benchmark::State& state) {
     for (;;) {  // producer helps drain, like the join barrier
       auto task = lockfree ? ws_pool->take(0) : mutex_pool->take(0);
       if (task) {
-        (lockfree ? static_cast<void>(ws_pool->mark_finished())
-                  : mutex_pool->mark_finished());
+        if (!lockfree) mutex_pool->mark_finished();
         done.fetch_add(1, std::memory_order_relaxed);
-      } else if ((lockfree ? ws_pool->outstanding()
+      } else if ((lockfree ? ws_pool->queued()
                            : mutex_pool->outstanding()) == 0) {
         break;
       }
@@ -878,9 +877,8 @@ void BM_HierarchicalSteal(benchmark::State& state) {
       thieves.emplace_back([&, t] {
         for (;;) {
           if (auto task = pool->take(t)) {
-            pool->mark_finished();
             drained.fetch_add(1, std::memory_order_relaxed);
-          } else if (pool->outstanding() == 0) {
+          } else if (pool->queued() == 0) {
             return;
           }
         }

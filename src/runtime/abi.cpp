@@ -1,6 +1,7 @@
 #include "runtime/abi.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -291,22 +292,12 @@ void zomp_atomic_max_f64(double* addr, double value) {
 
 // -- Tasking --------------------------------------------------------------
 
-namespace {
-
-/// Firstprivate capture: the pack bytes ride inside the task closure.
-std::function<void()> capture_task_body(void (*fn)(void* arg), const void* arg,
-                                        std::int64_t arg_size) {
-  std::vector<unsigned char> capture(static_cast<std::size_t>(arg_size));
-  if (arg_size > 0) std::memcpy(capture.data(), arg, capture.size());
-  return [fn, capture = std::move(capture)]() mutable { fn(capture.data()); };
-}
-
-}  // namespace
-
 void zomp_task(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                void (*fn)(void* arg), const void* arg, std::int64_t arg_size) {
   ThreadState& ts = current_thread();
-  ts.team->task_create(ts, capture_task_body(fn, arg, arg_size));
+  // Firstprivate capture: the pack bytes ride inside the task record.
+  ts.team->task_create(
+      ts, zomp::rt::TaskBody(fn, arg, static_cast<std::size_t>(arg_size)));
 }
 
 void zomp_task_with_deps(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
@@ -316,23 +307,30 @@ void zomp_task_with_deps(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                          std::int32_t priority) {
   ThreadState& ts = current_thread();
   zomp::rt::TaskOpts opts;
-  std::vector<zomp::rt::DepSpec> dep_specs;
+  // The usual handful of depend clauses converts on the stack.
+  constexpr std::int32_t kStackDeps = 16;
+  std::array<zomp::rt::DepSpec, kStackDeps> stack_specs;
+  std::vector<zomp::rt::DepSpec> heap_specs;
   if (deps != nullptr && ndeps > 0) {
-    dep_specs.reserve(static_cast<std::size_t>(ndeps));
-    for (std::int32_t i = 0; i < ndeps; ++i) {
-      zomp::rt::DepSpec spec;
-      spec.addr = deps[i].addr;
-      spec.kind = static_cast<zomp::rt::DepKind>(deps[i].kind);
-      dep_specs.push_back(spec);
+    zomp::rt::DepSpec* specs = stack_specs.data();
+    if (ndeps > kStackDeps) {
+      heap_specs.resize(static_cast<std::size_t>(ndeps));
+      specs = heap_specs.data();
     }
-    opts.deps = dep_specs.data();
+    for (std::int32_t i = 0; i < ndeps; ++i) {
+      specs[i].addr = deps[i].addr;
+      specs[i].kind = static_cast<zomp::rt::DepKind>(deps[i].kind);
+    }
+    opts.deps = specs;
     opts.ndeps = ndeps;
   }
   opts.deferred = (flags & ZOMP_TASK_UNDEFERRED) == 0;
   opts.final = (flags & ZOMP_TASK_FINAL) != 0;
   opts.untied = (flags & ZOMP_TASK_UNTIED) != 0;
   opts.priority = priority;
-  ts.team->task_create_ex(ts, capture_task_body(fn, arg, arg_size), opts);
+  ts.team->task_create_ex(
+      ts, zomp::rt::TaskBody(fn, arg, static_cast<std::size_t>(arg_size)),
+      opts);
 }
 
 void zomp_taskwait(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/) {
@@ -361,20 +359,16 @@ void zomp_taskgroup_end(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
 void zomp_taskloop(const zomp_ident_t* /*loc*/, std::int32_t /*gtid*/,
                    void (*fn)(std::int64_t chunk_lo, std::int64_t chunk_hi,
                               void* arg),
-                   const void* arg, std::int64_t arg_size, std::int64_t lo,
+                   const void* arg, std::int64_t /*arg_size*/, std::int64_t lo,
                    std::int64_t hi, std::int64_t grainsize,
                    std::int64_t num_tasks) {
   ThreadState& ts = current_thread();
-  // One shared copy of the pack: chunk thunks read fields by value into the
-  // outlined function's parameters, so sharing preserves firstprivate
-  // semantics, and the implicit taskgroup keeps the buffer alive.
-  auto capture =
-      std::make_shared<std::vector<unsigned char>>(static_cast<std::size_t>(arg_size));
-  if (arg_size > 0) std::memcpy(capture->data(), arg, capture->size());
-  ts.team->taskloop(ts, lo, hi, grainsize, num_tasks,
-                    [fn, capture](i64 chunk_lo, i64 chunk_hi) {
-                      fn(chunk_lo, chunk_hi, capture->data());
-                    });
+  // The chunks share the caller's pack: chunk thunks read fields by value
+  // into the outlined function's parameters, so sharing preserves
+  // firstprivate semantics, and the pack outlives the implicit taskgroup
+  // this call blocks on.
+  ts.team->taskloop(ts, lo, hi, grainsize, num_tasks, fn,
+                    const_cast<void*>(arg));
 }
 
 // -- omp_* routines: both twins of every omp_routines.def row ----------------

@@ -236,9 +236,10 @@ void zomp_taskgroup_end(const zomp_ident_t* loc, std::int32_t gtid,
 
 /// `taskloop`: runs fn(chunk_lo, chunk_hi, arg) as one task per chunk of
 /// [lo, hi), inside an implicit taskgroup (returns when all chunks
-/// completed). The runtime copies `arg_size` bytes from `arg` once; chunk
-/// tasks share the read-only copy. grainsize/num_tasks <= 0 mean "clause
-/// absent".
+/// completed). Every chunk task is handed `arg` itself, not a copy: it must
+/// stay valid and unmodified until this call returns, and `fn` must only
+/// read through it (copy a field into a local to privatise it). `arg_size`
+/// is unused. grainsize/num_tasks <= 0 mean "clause absent".
 void zomp_taskloop(const zomp_ident_t* loc, std::int32_t gtid,
                    void (*fn)(std::int64_t chunk_lo, std::int64_t chunk_hi,
                               void* arg),

@@ -207,10 +207,12 @@ void master(Body&& body) {
   if (rt::current_thread().tid == 0) body();
 }
 
-/// Defers `body` as an explicit task (`#pragma omp task`).
-inline void task(std::function<void()> body) {
+/// Defers `body` as an explicit task (`#pragma omp task`). The closure is
+/// placement-moved into the task record; no std::function is built.
+template <typename Body>
+void task(Body&& body) {
   rt::ThreadState& ts = rt::current_thread();
-  ts.team->task_create(ts, std::move(body));
+  ts.team->task_create(ts, std::forward<Body>(body));
 }
 
 /// Depend-clause helpers for task_depend: `dep_in(&x)` / `dep_out(&x)` /
@@ -237,8 +239,9 @@ struct TaskOptions {
 /// tasks it depends on — last-writer edges for in, writer+reader edges for
 /// out/inout (see runtime/task.h). Rides the same Team entry point as the
 /// generated-code ABI (zomp_task_with_deps).
-inline void task_depend(std::initializer_list<rt::DepSpec> deps,
-                        std::function<void()> body, TaskOptions opts = {}) {
+template <typename Body>
+void task_depend(std::initializer_list<rt::DepSpec> deps, Body&& body,
+                 TaskOptions opts = {}) {
   rt::ThreadState& ts = rt::current_thread();
   rt::TaskOpts topts;
   topts.deps = deps.begin();
@@ -246,7 +249,7 @@ inline void task_depend(std::initializer_list<rt::DepSpec> deps,
   topts.deferred = opts.if_clause;
   topts.final = opts.final_clause;
   topts.priority = opts.priority;
-  ts.team->task_create_ex(ts, std::move(body), topts);
+  ts.team->task_create_ex(ts, std::forward<Body>(body), topts);
 }
 
 /// `#pragma omp taskloop`: distributes [lo, hi) over chunk tasks inside an

@@ -1,8 +1,178 @@
 #include "runtime/task.h"
 
+#include <cstring>
+
 #include "runtime/trace.h"
 
 namespace zomp::rt {
+
+// -- Task records (DESIGN.md S1.3) --------------------------------------------
+
+// AddressSanitizer builds bypass the cache: every record is a fresh
+// allocation freed on release, so reuse can never hide a use-after-free.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kRecycleRecords = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kRecycleRecords = false;
+#else
+constexpr bool kRecycleRecords = true;
+#endif
+#else
+constexpr bool kRecycleRecords = true;
+#endif
+
+/// One thread's record cache. `local` is owner-only; other threads return
+/// records through `remote`, a push-only Treiber stack the owner empties in
+/// one exchange (take-all, so no ABA). `owned` counts the records this cache
+/// allocated and has not freed. The object outlives its thread while any of
+/// them is still live: closing swaps kClosed into `remote`, frees what is
+/// cached, and the return that frees the last record deletes the cache.
+struct TaskCache {
+  Task* local = nullptr;
+  std::atomic<i64> owned{0};
+  alignas(kCacheLine) std::atomic<Task*> remote{nullptr};
+};
+
+namespace {
+
+/// `remote` value of a closed cache (its thread exited). Never dereferenced.
+Task* const kClosed = reinterpret_cast<Task*>(alignof(Task));
+
+std::atomic<i64> g_heap_records{0};
+
+thread_local TaskCache* tls_cache = nullptr;
+
+void free_record(Task* task) noexcept {
+  delete task;
+  g_heap_records.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void close_cache(TaskCache* cache) noexcept {
+  i64 freed = 0;
+  for (Task* list : {cache->local, cache->remote.exchange(
+                                       kClosed, std::memory_order_acquire)}) {
+    while (list != nullptr) {
+      Task* next = list->next;
+      free_record(list);
+      ++freed;
+      list = next;
+    }
+  }
+  cache->local = nullptr;
+  if (cache->owned.fetch_sub(freed, std::memory_order_acq_rel) == freed) {
+    delete cache;
+  }
+}
+
+/// Closes the thread's cache at thread exit.
+struct CacheCloser {
+  ~CacheCloser() {
+    if (TaskCache* cache = std::exchange(tls_cache, nullptr)) close_cache(cache);
+  }
+};
+
+TaskCache& this_thread_cache() {
+  if (tls_cache == nullptr) [[unlikely]] {
+    thread_local CacheCloser closer;  // registers the exit hook
+    (void)closer;
+    tls_cache = new TaskCache;
+  }
+  return *tls_cache;
+}
+
+}  // namespace
+
+void TaskBody::run_in_place() const {
+  if (relocate != nullptr) {
+    run(src);
+    return;
+  }
+  alignas(kTaskPackAlign) unsigned char local[kTaskInlinePack];
+  std::unique_ptr<unsigned char[]> tail;
+  void* copy = local;
+  if (size > sizeof local) {
+    tail.reset(new unsigned char[size]);
+    copy = tail.get();
+  }
+  if (size > 0) std::memcpy(copy, src, size);
+  run(copy);
+}
+
+void Task::place(const TaskBody& body) {
+  void* at = body.size <= kTaskInlinePack ? static_cast<void*>(inline_pack)
+                                          : ::operator new(body.size);
+  if (body.relocate != nullptr) {
+    body.relocate(at, body.src);
+  } else if (body.size > 0) {
+    std::memcpy(at, body.src, body.size);
+  }
+  pack = at;
+  run = body.run;
+  destroy = body.destroy;
+}
+
+void Task::drop_pack() noexcept {
+  if (pack == nullptr) return;
+  if (destroy != nullptr) destroy(pack);
+  if (pack != inline_pack) ::operator delete(pack);
+  pack = nullptr;
+  destroy = nullptr;
+}
+
+TaskPtr acquire_task_record() {
+  TaskCache* owner = nullptr;
+  if constexpr (kRecycleRecords) {
+    TaskCache& cache = this_thread_cache();
+    if (cache.local == nullptr &&
+        cache.remote.load(std::memory_order_relaxed) != nullptr) {
+      cache.local = cache.remote.exchange(nullptr, std::memory_order_acquire);
+    }
+    if (Task* task = cache.local) {
+      cache.local = task->next;
+      task->next = nullptr;
+      return TaskPtr(task);
+    }
+    cache.owned.fetch_add(1, std::memory_order_relaxed);
+    owner = &cache;
+  }
+  auto* task = new Task;
+  task->owner = owner;
+  g_heap_records.fetch_add(1, std::memory_order_relaxed);
+  return TaskPtr(task);
+}
+
+void TaskRecycler::operator()(Task* task) const noexcept {
+  task->drop_pack();
+  task->ctx.deps.reset();
+  task->depnode.reset();
+  TaskCache* cache = task->owner;
+  if (cache == nullptr) {
+    free_record(task);
+  } else if (cache == tls_cache) {
+    task->next = cache->local;
+    cache->local = task;
+  } else {
+    Task* head = cache->remote.load(std::memory_order_relaxed);
+    do {
+      if (head == kClosed) {
+        free_record(task);
+        if (cache->owned.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          delete cache;
+        }
+        return;
+      }
+      task->next = head;
+    } while (!cache->remote.compare_exchange_weak(
+        head, task, std::memory_order_release, std::memory_order_relaxed));
+  }
+}
+
+i64 task_records_for_test() {
+  return g_heap_records.load(std::memory_order_relaxed);
+}
+
+// -- TaskPool -----------------------------------------------------------------
 
 TaskPool::TaskPool(i32 members) {
   queues_.reserve(static_cast<std::size_t>(members));
@@ -16,12 +186,12 @@ TaskPool::TaskPool(i32 members) {
 TaskPool::~TaskPool() {
   // Normal joins drain every deque before the team dies, but reclaim any
   // stragglers so teardown never leaks parked tasks (the deque slots and
-  // mailbox entries hold raw pointers the unique_ptr wrapper released).
+  // mailbox entries hold raw pointers the TaskPtr wrapper released).
   for (auto& queue : queues_) {
-    while (Task* task = queue->pop()) delete task;
+    while (Task* task = queue->pop()) TaskRecycler{}(task);
   }
   for (auto& mailbox : mailboxes_) {
-    for (Task* task : mailbox->tasks) delete task;
+    for (Task* task : mailbox->tasks) TaskRecycler{}(task);
     mailbox->tasks.clear();
   }
 }
@@ -33,32 +203,28 @@ void TaskPool::set_victim_order(std::vector<i32> order) {
   victim_order_ = std::move(order);
 }
 
-std::unique_ptr<Task> TaskPool::push(i32 tid, std::unique_ptr<Task> task) {
+TaskPtr TaskPool::push(i32 tid, TaskPtr task) {
   ZOMP_CHECK(tid >= 0 && tid < static_cast<i32>(queues_.size()),
              "task push from non-member thread");
-  // Count before publishing: a thief must never observe a task whose
-  // completion could drop `outstanding` below zero. `queued` seq_cst: that
-  // increment is the state change the join barrier's WaitGate park keys on
-  // (see queued()), so it must land in the seq_cst total order before the
-  // waker's parked-flag load.
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  // `queued` seq_cst and counted before publishing: that increment is the
+  // state change the join barrier's WaitGate park keys on (see queued()), so
+  // it must land in the seq_cst total order before the waker's parked-flag
+  // load.
   queued_.fetch_add(1, std::memory_order_seq_cst);
   if (queues_[static_cast<std::size_t>(tid)]->push(task.get())) {
     task.release();  // ownership parked in the deque until pop/steal
     return nullptr;
   }
   queued_.fetch_sub(1, std::memory_order_acq_rel);
-  outstanding_.fetch_sub(1, std::memory_order_acq_rel);
   return task;  // deque full: caller executes inline
 }
 
-void TaskPool::push_remote(i32 target, std::unique_ptr<Task> task) {
+void TaskPool::push_remote(i32 target, TaskPtr task) {
   ZOMP_CHECK(target >= 0 && target < static_cast<i32>(mailboxes_.size()),
              "task mailed to non-member thread");
-  // Same counting discipline as push(): counters land before the task is
-  // visible, queued_ seq_cst for the WaitGate park protocol. No overflow
-  // path — the mailbox is unbounded.
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  // Same counting discipline as push(): queued_ lands (seq_cst, for the
+  // WaitGate park protocol) before the task is visible. No overflow path —
+  // the mailbox is unbounded.
   queued_.fetch_add(1, std::memory_order_seq_cst);
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(target)];
   {
@@ -81,20 +247,20 @@ Task* TaskPool::mailbox_pop(i32 member) {
   return task;
 }
 
-std::unique_ptr<Task> TaskPool::take(i32 tid) {
+TaskPtr TaskPool::take(i32 tid) {
   const auto n = static_cast<i32>(queues_.size());
   ZOMP_CHECK(tid >= 0 && tid < n, "task take from non-member thread");
   // Own deque first, LIFO for locality.
   if (Task* task = queues_[static_cast<std::size_t>(tid)]->pop()) {
     queued_.fetch_sub(1, std::memory_order_acq_rel);
-    return std::unique_ptr<Task>(task);
+    return TaskPtr(task);
   }
   // Own mailbox next: tasks another member aimed specifically at us (the
   // place-aware taskloop spray) beat a cross-place steal.
   if (Task* task = mailbox_pop(tid)) {
     trace_emit(TraceEv::kMailboxPull, tid);
     queued_.fetch_sub(1, std::memory_order_acq_rel);
-    return std::unique_ptr<Task>(task);
+    return TaskPtr(task);
   }
   if (n <= 1) return nullptr;
   // Steal FIFO from siblings. With a victim-order table installed the scan
@@ -133,13 +299,13 @@ std::unique_ptr<Task> TaskPool::take(i32 tid) {
       if (task != nullptr) {
         trace_emit(TraceEv::kStealSuccess, victim);
         queued_.fetch_sub(1, std::memory_order_acq_rel);
-        return std::unique_ptr<Task>(task);
+        return TaskPtr(task);
       }
     }
     if (Task* task = mailbox_pop(victim)) {
       trace_emit(TraceEv::kMailboxPull, victim);
       queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return std::unique_ptr<Task>(task);
+      return TaskPtr(task);
     }
   }
   return nullptr;

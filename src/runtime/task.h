@@ -6,9 +6,15 @@
 // a downstream user expects. Scheduling model (DESIGN.md S1.3/S1.7): one
 // bounded lock-free work-stealing deque per team member — the owner pushes
 // and pops its back end LIFO with plain release/acquire atomics, thieves take
-// the front end FIFO with a CAS — plus a team-wide outstanding-task count
-// that the task-aware barrier drains, and parent/child counting for
-// `taskwait` with group counting for `taskgroup`.
+// the front end FIFO with a CAS — plus parent/child counting for `taskwait`
+// (which the task-aware barrier also drains, summed over the implicit tasks)
+// and group counting for `taskgroup`.
+//
+// Task records (DESIGN.md S1.3): every deferred task is one fixed-size Task
+// holding a plain entry pointer and its firstprivate pack inline (one heap
+// tail for larger packs), recycled through a cache owned by the allocating
+// thread; a record freed on another thread returns to its owner through a
+// lock-free remote stack.
 //
 // Dependence layer (DESIGN.md S1.7): tasks created with `depend(in/out/inout:
 // addr)` clauses get a refcounted DepNode with an atomic predecessor count.
@@ -23,10 +29,12 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/common.h"
@@ -34,6 +42,7 @@
 namespace zomp::rt {
 
 struct Task;
+struct TaskCache;
 
 struct TaskGroup {
   std::atomic<i64> active{0};
@@ -41,8 +50,8 @@ struct TaskGroup {
   /// `cancel taskgroup` flag. Once set, every not-yet-started task of this
   /// group (and of descendant groups — execute_task walks the parent chain)
   /// is discarded at its scheduling point: the body is skipped but all
-  /// parent/group/outstanding accounting still runs, so waiters drain
-  /// normally. Tasks already executing run to completion, per the spec.
+  /// parent/group accounting still runs, so waiters drain normally. Tasks
+  /// already executing run to completion, per the spec.
   std::atomic<bool> cancelled{false};
 };
 
@@ -125,8 +134,81 @@ struct TaskContext {
   }
 };
 
+/// Entry point of a task body: runs (or destroys) the pack at `pack`.
+using TaskEntry = void (*)(void* pack);
+
+/// Inline pack capacity of a Task record; larger packs take one heap tail.
+/// 64 bytes holds every generated firstprivate pack of the bundled kernels
+/// and any hl.h / interp closure of up to eight captured words.
+inline constexpr std::size_t kTaskInlinePack = 64;
+/// Alignment of the inline pack (and of heap tails, operator new's default).
+inline constexpr std::size_t kTaskPackAlign = 16;
+
+/// A task body at its creation point: an entry plus where its pack lives
+/// now. Non-owning — it only has to outlive the task_create call that copies
+/// (raw packs) or placement-moves (callables) the pack into a Task record.
+///
+/// Two shapes:
+///  * a raw firstprivate pack (the C ABI's zomp_task): `size` bytes memcpy'd
+///    into the record, `run(pack)` is the generated entry, nothing to destroy;
+///  * any callable (hl.h lambdas, interp closures): placement-constructed
+///    into the record through `relocate` (move from an rvalue, copy from an
+///    lvalue), run and destroyed through a thunk pair.
+struct TaskBody {
+  TaskEntry run = nullptr;
+  /// Destroys a placed callable; null for raw packs and trivially
+  /// destructible callables.
+  TaskEntry destroy = nullptr;
+  /// Constructs the callable at `dst` from the one at `src`; null = raw pack.
+  void (*relocate)(void* dst, void* src) = nullptr;
+  void* src = nullptr;
+  std::size_t size = 0;
+
+  /// Raw firstprivate pack of `size` bytes at `arg`, run by `fn`.
+  TaskBody(TaskEntry fn, const void* arg, std::size_t pack_size)
+      : run(fn), src(const_cast<void*>(arg)), size(pack_size) {}
+
+  /// Any `void()` callable. Implicit on purpose, so call sites pass lambdas
+  /// straight through; a temporary lives until the end of the full
+  /// expression, which covers the task_create call.
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, TaskBody>>>
+  TaskBody(F&& f)  // NOLINT(google-explicit-constructor)
+      : run([](void* p) { (*static_cast<D*>(p))(); }),
+        destroy(destroy_thunk<D>()),
+        relocate([](void* dst, void* from) {
+          ::new (dst) D(std::forward<F>(*static_cast<D*>(from)));
+        }),
+        src(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        size(sizeof(D)) {
+    static_assert(alignof(D) <= kTaskPackAlign,
+                  "over-aligned task closures are not supported");
+  }
+
+  /// Runs the body undeferred, at the creation point, without a record: a
+  /// callable runs where it is; a raw pack runs on a private copy, exactly
+  /// as it would from a record.
+  void run_in_place() const;
+
+ private:
+  template <typename D>
+  static TaskEntry destroy_thunk() {
+    if constexpr (std::is_trivially_destructible_v<D>) {
+      return nullptr;
+    } else {
+      return [](void* p) { static_cast<D*>(p)->~D(); };
+    }
+  }
+};
+
+/// One deferred task: entry, pack (inline, or a heap tail when larger than
+/// kTaskInlinePack), its execution context and its accounting links. Records
+/// come from acquire_task_record() and go back through TaskPtr's deleter;
+/// they are recycled, never constructed per task.
 struct Task {
-  std::function<void()> body;
+  TaskEntry run = nullptr;
+  TaskEntry destroy = nullptr;
+  void* pack = nullptr;      ///< inline_pack, or the heap tail
   TaskContext ctx;           ///< context for code running inside this task
   TaskContext* parent = nullptr;
   TaskGroup* group = nullptr;
@@ -137,10 +219,38 @@ struct Task {
   /// Dependence node, only for tasks created with depend clauses. Keeps the
   /// node alive until the task completes and releases its successors.
   std::shared_ptr<DepNode> depnode;
+  TaskCache* owner = nullptr;  ///< cache this record returns to (null: none)
+  Task* next = nullptr;        ///< free-list link while cached
+  alignas(kTaskPackAlign) unsigned char inline_pack[kTaskInlinePack];
+
+  /// Copies or placement-moves `body`'s pack into this record.
+  void place(const TaskBody& body);
+  void run_body() { run(pack); }
+  /// Destroys the pack and frees its heap tail. Idempotent: execute_task
+  /// drops the pack as soon as the body ran (or was discarded), and the
+  /// record's release drops whatever an unexecuted record still holds.
+  void drop_pack() noexcept;
 };
 
-/// Creation-time options for Team::task_create_ex. Plain task_create remains
-/// the zero-dependence fast path.
+/// Returns a record to its owner's cache (TaskPtr's deleter).
+struct TaskRecycler {
+  void operator()(Task* task) const noexcept;
+};
+using TaskPtr = std::unique_ptr<Task, TaskRecycler>;
+
+/// A blank record from the calling thread's cache (heap-allocated when the
+/// cache is empty). Under AddressSanitizer every record is a fresh
+/// allocation, freed on release, so a use-after-free of a task record is
+/// still reported. Team::new_task consults FaultSite::kAlloc before each
+/// acquisition.
+TaskPtr acquire_task_record();
+
+/// Task records currently allocated from the heap, cached or live, across
+/// all threads. Tests read it to prove recycling keeps it bounded.
+i64 task_records_for_test();
+
+/// Creation-time options for Team::task_create_ex; plain task_create passes
+/// the defaults.
 struct TaskOpts {
   const DepSpec* deps = nullptr;
   i32 ndeps = 0;
@@ -182,10 +292,15 @@ class WorkStealingDeque {
   static constexpr i64 kCapacity = 1024;
 
   /// Owner only. False when the deque is full (caller runs the task inline).
+  /// The fullness test reads the owner's cached lower bound of `top_`
+  /// (thieves only ever raise `top_`), and reloads the real value only when
+  /// the deque looks full — so a push stays off the thieves' cache line.
   bool push(Task* task) {
     const i64 b = bottom_.load(std::memory_order_relaxed);
-    const i64 t = top_.load(std::memory_order_acquire);
-    if (b - t >= kCapacity) return false;
+    if (b - top_bound_ >= kCapacity) {
+      top_bound_ = top_.load(std::memory_order_acquire);
+      if (b - top_bound_ >= kCapacity) return false;
+    }
     slots_[static_cast<std::size_t>(b & kMask)].store(
         task, std::memory_order_relaxed);
     bottom_.store(b + 1, std::memory_order_release);
@@ -251,6 +366,7 @@ class WorkStealingDeque {
 
   alignas(kCacheLine) std::atomic<i64> top_{0};
   alignas(kCacheLine) std::atomic<i64> bottom_{0};
+  i64 top_bound_ = 0;  ///< owner-only lower bound of top_ (see push)
   std::array<std::atomic<Task*>, kCapacity> slots_{};
 };
 
@@ -275,23 +391,23 @@ class TaskPool {
   /// Enqueues `task` on member `tid`'s deque. Caller has already linked the
   /// task into its parent/group counts. Returns null on success; returns the
   /// task back when the bounded deque is full, in which case the caller MUST
-  /// execute it inline (without touching the outstanding count) — dropping
-  /// the rejected task would strand its parent/group counters forever.
-  [[nodiscard]] std::unique_ptr<Task> push(i32 tid, std::unique_ptr<Task> task);
+  /// execute it inline — dropping the rejected task would strand its
+  /// parent/group counters forever.
+  [[nodiscard]] TaskPtr push(i32 tid, TaskPtr task);
 
   /// Enqueues `task` on member `target`'s mailbox — the cross-member
   /// placement path. Unbounded, so unlike push() it never rejects. The task
   /// is stealable like any queued task: take() scans victims' mailboxes as
   /// well as their deques, so a task mailed to a member that never becomes
   /// idle cannot strand a taskgroup/taskwait/barrier waiter.
-  void push_remote(i32 target, std::unique_ptr<Task> task);
+  void push_remote(i32 target, TaskPtr task);
 
   /// Pops from `tid`'s own deque (LIFO), then its own mailbox, then steals
   /// from siblings — nearest-first per the installed victim order, or a
   /// per-member staggered ring when there is none. Returns nullptr if no
   /// task is available right now; see maybe_empty() for why callers must
   /// re-check queued() before treating that as "pool dry".
-  std::unique_ptr<Task> take(i32 tid);
+  TaskPtr take(i32 tid);
 
   /// Installs the hierarchical steal-victim order: row `tid` holds member
   /// tid's n-1 victims, nearest first (flattened n x (n-1)). Built by the
@@ -300,11 +416,6 @@ class TaskPool {
   /// the staggered flat ring.
   void set_victim_order(std::vector<i32> order);
   const std::vector<i32>& victim_order() const { return victim_order_; }
-
-  /// Tasks queued but not yet finished executing (includes tasks currently
-  /// running a body). Gates the barrier's drain: zero means every published
-  /// task fully completed.
-  i64 outstanding() const { return outstanding_.load(std::memory_order_acquire); }
 
   /// Tasks sitting in a deque right now — stealable work, excluding tasks
   /// already executing. This is the join-barrier waiters' help gate and
@@ -316,9 +427,6 @@ class TaskPool {
   /// over-count (push increments before publishing) — a spurious wake, never
   /// a missed one: a task still in a deque always keeps this >= 1.
   i64 queued() const { return queued_.load(std::memory_order_seq_cst); }
-
-  /// Called by the executor once a queued task's body has fully completed.
-  void mark_finished() { outstanding_.fetch_sub(1, std::memory_order_acq_rel); }
 
  private:
   /// One member's mailbox. The atomic count lets the victim scan skip empty
@@ -339,7 +447,6 @@ class TaskPool {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   /// Flattened n x (n-1) victim-order table; empty = staggered flat ring.
   std::vector<i32> victim_order_;
-  alignas(kCacheLine) std::atomic<i64> outstanding_{0};
   alignas(kCacheLine) std::atomic<i64> queued_{0};
 };
 

@@ -398,8 +398,8 @@ void Team::join_barrier_wait(i32 tid) {
   // survivors skipped arbitrarily many user barriers, so bar_epoch_ is no
   // longer meaningful team-wide; join_epoch_ is, because nobody ever skips
   // a join. Discarded tasks drain HERE: execute_task skips their bodies but
-  // runs all accounting, so outstanding() reaches zero without running user
-  // code.
+  // runs all accounting, so the implicit tasks' child counts reach zero
+  // without running user code.
   trace_emit(TraceEv::kBarrierEnter, kBarrierKindJoin);
   episode<false>(join_arrived_, join_epoch_, tid);
   trace_emit(TraceEv::kBarrierWaitEnd, kBarrierKindJoin);
@@ -421,7 +421,7 @@ bool Team::episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch,
   };
   if (size() == 1) {
     Backoff backoff;
-    while (tasks_.outstanding() > 0) {
+    while (tasks_pending()) {
       if (!run_one_task(ts)) backoff.pause();
     }
     // A completed barrier closes the innermost loop construct: clear any
@@ -433,8 +433,11 @@ bool Team::episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch,
     const u64 seen = epoch.load(std::memory_order_acquire);
     if (arrived.fetch_add(1, std::memory_order_acq_rel) == size() - 1) {
       // Last arriver: drain the team's tasks (helping), then open the gate.
+      // Every member arrived, so no implicit task creates work any more and
+      // each implicit child count only falls: one sequential all-zero read
+      // of tasks_pending() is exact (DESIGN.md S1.3).
       Backoff backoff;
-      while (tasks_.outstanding() > 0) {
+      while (tasks_pending()) {
         if (run_one_task(ts)) {
           backoff.reset();
         } else {
@@ -486,7 +489,7 @@ bool Team::episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch,
         // (enqueue_task), whose seq_cst publications pair with the seq_cst
         // predicate loads here; the grace itself mirrors the worker doorbell
         // so hot back-to-back joins never touch the futex. The predicate
-        // keys on queued() — stealable work — NOT outstanding(): one long
+        // keys on queued() — stealable work — NOT tasks_pending(): one long
         // task executing elsewhere must leave the waiters asleep, not
         // cycling grace-spin/instant-unpark for its whole duration. In the
         // user barrier it also keys on the cancel flag: cancel_activate's
@@ -731,11 +734,11 @@ void Team::ordered_exit(ThreadState& ts, i64 index) {
   ordered_next_.store(index + 1, std::memory_order_release);
 }
 
-void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
+void Team::run_task_inline(ThreadState& ts, const TaskBody& body,
                            bool final_ctx) {
-  // Undeferred (if(false)), included (final-descendant) and serial-team
-  // tasks run immediately in a fresh context so nested taskwait / taskgroup
-  // / depend clauses still behave.
+  // Undeferred (if(false)), included (final-descendant), serial-team and
+  // allocation-failure tasks run immediately in a fresh context so nested
+  // taskwait / taskgroup / depend clauses still behave.
   trace_emit(TraceEv::kTaskCreate, /*deferred=*/0);
   TaskContext inline_ctx;
   inline_ctx.group = ts.current_task->group;
@@ -743,7 +746,7 @@ void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
   TaskContext* saved = ts.current_task;
   ts.current_task = &inline_ctx;
   trace_emit(TraceEv::kTaskSchedule);
-  body();
+  body.run_in_place();
   // The inline task's own children must finish before it completes.
   Backoff backoff;
   while (inline_ctx.children.load(std::memory_order_acquire) > 0) {
@@ -753,12 +756,12 @@ void Team::run_task_inline(ThreadState& ts, std::function<void()>& body,
   trace_emit(TraceEv::kTaskComplete);
 }
 
-void Team::enqueue_task(ThreadState& ts, std::unique_ptr<Task> task) {
+void Team::enqueue_task(ThreadState& ts, TaskPtr task) {
   if (auto rejected = tasks_.push(ts.tid, std::move(task))) {
     // Bounded deque full: run at the creation/release point (a legal task
     // scheduling point), which throttles runaway producers and — through
     // execute_task — still releases the rejected task's own successors.
-    execute_task(ts, std::move(rejected), /*counted=*/false);
+    execute_task(ts, std::move(rejected));
     return;
   }
   // Wake join-barrier waiters parked past their doorbell grace so a late
@@ -766,11 +769,10 @@ void Team::enqueue_task(ThreadState& ts, std::unique_ptr<Task> task) {
   bar_gate_.wake_all();
 }
 
-std::unique_ptr<Task> Team::new_task(ThreadState& ts,
-                                     std::function<void()> body,
-                                     i32 priority) {
-  auto task = std::make_unique<Task>();
-  task->body = std::move(body);
+TaskPtr Team::new_task(ThreadState& ts, const TaskBody& body, i32 priority) {
+  if (fault_should_fail(FaultSite::kAlloc)) return nullptr;
+  TaskPtr task = acquire_task_record();
+  task->place(body);
   task->parent = ts.current_task;
   task->group = ts.current_task->group;
   // priority clauses clamp into [0, max-task-priority-var] (OpenMP 5.2
@@ -785,35 +787,31 @@ std::unique_ptr<Task> Team::new_task(ThreadState& ts,
   return task;
 }
 
-void Team::task_create(ThreadState& ts, std::function<void()> body,
-                       bool deferred) {
-  ZOMP_CHECK(ts.team == this, "task created from non-member thread");
-  const bool in_final = ts.current_task->in_final;
-  // Graceful degradation: an injected allocation failure downgrades the task
-  // to undeferred inline execution at the creation point — a legal task
-  // scheduling point, the same valve the deque-overflow path uses — so the
-  // program stays correct, just less parallel.
-  if (!deferred || in_final || size() == 1 ||
-      fault_should_fail(FaultSite::kAlloc)) {
-    run_task_inline(ts, body, in_final);
-    return;
-  }
-  enqueue_task(ts, new_task(ts, std::move(body), /*priority=*/0));
+void Team::task_create(ThreadState& ts, const TaskBody& body, bool deferred) {
+  TaskOpts opts;
+  opts.deferred = deferred;
+  task_create_ex(ts, body, opts);
 }
 
-void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
+void Team::task_create_ex(ThreadState& ts, const TaskBody& body,
                           const TaskOpts& opts) {
   ZOMP_CHECK(ts.team == this, "task created from non-member thread");
   const bool final_task = opts.final || ts.current_task->in_final;
+  const bool deferred = opts.deferred && !final_task && size() > 1;
   if (opts.ndeps <= 0) {
-    // No dependences: the original fast path (plus priority recording and
-    // the same alloc-fault downgrade as task_create).
-    if (!opts.deferred || final_task || size() == 1 ||
-        fault_should_fail(FaultSite::kAlloc)) {
+    // No dependences: the fast path. Graceful degradation: a failed record
+    // allocation (new_task returns null under an injected FaultSite::kAlloc)
+    // downgrades the task to undeferred inline execution at the creation
+    // point — a legal task scheduling point, the same valve the
+    // deque-overflow path uses — so the program stays correct, just less
+    // parallel.
+    TaskPtr task;
+    if (deferred) task = new_task(ts, body, opts.priority);
+    if (!task) {
       run_task_inline(ts, body, final_task);
       return;
     }
-    enqueue_task(ts, new_task(ts, std::move(body), opts.priority));
+    enqueue_task(ts, std::move(task));
     return;
   }
 
@@ -868,9 +866,9 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
     }
   }
 
-  const bool deferred = opts.deferred && !final_task && size() > 1 &&
-                        !fault_should_fail(FaultSite::kAlloc);
-  if (!deferred) {
+  TaskPtr task;
+  if (deferred) task = new_task(ts, body, opts.priority);
+  if (!task) {
     // An undeferred task still honours its dependences: help run queued
     // tasks until every predecessor completed (count down to the creation
     // reference), then run inline and release successors.
@@ -888,15 +886,13 @@ void Team::task_create_ex(ThreadState& ts, std::function<void()> body,
     return;
   }
 
-  auto task = new_task(ts, std::move(body), opts.priority);
   task->depnode = node;
   // Park before dropping the creation reference: whoever decrements the
   // count to zero — us, when every predecessor already finished, or the
   // last-finishing predecessor — owns the task and enqueues it exactly once.
   node->task = task.release();
   if (node->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::unique_ptr<Task> ready(std::exchange(node->task, nullptr));
-    enqueue_task(ts, std::move(ready));
+    enqueue_task(ts, TaskPtr(std::exchange(node->task, nullptr)));
   }
 }
 
@@ -913,30 +909,32 @@ void Team::complete_depnode(ThreadState& ts, DepNode& node) {
       // drop of the creation reference, ordering its `task` store before
       // this read. Undeferred successors never park (task stays null) —
       // their encountering thread spins the count down itself.
-      std::unique_ptr<Task> ready(std::exchange(succ->task, nullptr));
+      TaskPtr ready(std::exchange(succ->task, nullptr));
       if (ready) enqueue_task(ts, std::move(ready));
     }
   }
 }
 
-void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
-                        bool counted) {
+void Team::execute_task(ThreadState& ts, TaskPtr task) {
   TaskContext* saved = ts.current_task;
   task->ctx.group = task->group;  // descendants join the same group
   ts.current_task = &task->ctx;
   // Discard-on-take (cancellation): skip ONLY the body. Everything after —
-  // child wait, successor release, group/parent decrements, mark_finished —
-  // still runs, which is the single completion hook this path shares with
-  // the deque-overflow inline route (counted == false): a discarded task
-  // must drain from every counter a normal task would, or the join barrier
-  // and taskgroup_end would wait forever on work that will never run.
+  // pack destruction, child wait, successor release, group/parent
+  // decrements — still runs, which is the single completion hook this path
+  // shares with the deque-overflow inline route: a discarded task must drain
+  // from every counter a normal task would, or the barrier and
+  // taskgroup_end would wait forever on work that will never run.
   const bool discarded = task_discarded(*task);
   trace_emit(TraceEv::kTaskSchedule, discarded ? 1 : 0);
-  if (!discarded) task->body();
+  if (!discarded) task->run_body();
+  // The pack dies with the body, before the task can count as complete.
+  task->drop_pack();
   // Children of this task must complete before the task itself does
   // (OpenMP's implicit task completion ordering for taskwait counting is
-  // handled by the parent's explicit waits; here we only keep the counters
-  // sound: a finished task must not leave live children unaccounted).
+  // handled by the parent's explicit waits; here we keep the counters
+  // sound: a finished task must not leave live children unaccounted, which
+  // is also what lets the barrier drain on the implicit tasks' counts).
   Backoff backoff;
   while (task->ctx.children.load(std::memory_order_acquire) > 0) {
     if (run_one_task(ts)) {
@@ -947,30 +945,36 @@ void Team::execute_task(ThreadState& ts, std::unique_ptr<Task> task,
   }
   ts.current_task = saved;
   trace_emit(TraceEv::kTaskComplete, discarded ? 1 : 0);
-  // Release dependent successors BEFORE this task's own counters drop: a
-  // released successor enters `outstanding` (enqueue_task -> push) first, so
-  // the join barrier's drain count never reads zero with a releasable task
-  // still parked. Runs on the overflow-inline path too (counted == false) —
-  // a rejected task's successors must not strand.
-  if (task->depnode) complete_depnode(ts, *task->depnode);
-  if (task->group != nullptr) {
-    task->group->active.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  task->parent->children.fetch_sub(1, std::memory_order_acq_rel);
-  if (counted) tasks_.mark_finished();
+  TaskContext* parent = task->parent;
+  TaskGroup* group = task->group;
+  std::shared_ptr<DepNode> node = std::move(task->depnode);
+  task.reset();  // recycled before any waiter can observe the completion
+  // Release dependent successors BEFORE this task's own counters drop. Runs
+  // on the overflow-inline path too — a rejected task's successors must not
+  // strand.
+  if (node) complete_depnode(ts, *node);
+  if (group != nullptr) group->active.fetch_sub(1, std::memory_order_acq_rel);
+  parent->children.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 bool Team::run_one_task(ThreadState& ts) {
   // A false return is NOT "the pool is dry": take() may miss a push that is
   // mid-publication (maybe_empty's advisory contract, task.h) or lose a
   // steal race. Every drain loop in this file therefore gates its *exit* on
-  // the authoritative counters — outstanding(), queued(), children,
-  // group.active — re-read each round, and uses false only to pace its
-  // backoff. Audited for ISSUE 6; keep it that way when adding loops.
-  auto task = tasks_.take(ts.tid);
+  // the authoritative counters — children (tasks_pending() sums the
+  // implicit tasks'), queued(), group.active — re-read each round, and uses
+  // false only to pace its backoff. Keep it that way when adding loops.
+  TaskPtr task = tasks_.take(ts.tid);
   if (!task) return false;
   execute_task(ts, std::move(task));
   return true;
+}
+
+bool Team::tasks_pending() const {
+  for (const TaskContext& ctx : implicit_ctx_) {
+    if (ctx.children.load(std::memory_order_acquire) > 0) return true;
+  }
+  return false;
 }
 
 void Team::taskwait(ThreadState& ts) {
@@ -990,11 +994,11 @@ void Team::taskwait(ThreadState& ts) {
 }
 
 void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
-                    i64 num_tasks, std::function<void(i64, i64)> chunk_body) {
+                    i64 num_tasks, ChunkFn chunk, void* ctx) {
   ZOMP_CHECK(ts.team == this, "taskloop from non-member thread");
   // Implicit taskgroup: taskloop returns only when every chunk task (and
-  // their descendants) completed, which also keeps `chunk_body` alive for
-  // the chunks' whole lifetime.
+  // their descendants) completed, which also keeps `ctx` alive for the
+  // chunks' whole lifetime.
   TaskGroup group;
   taskgroup_begin(ts, group);
   const i64 trips = hi > lo ? hi - lo : 0;
@@ -1007,9 +1011,6 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
     } else {
       chunks = std::min<i64>(trips, i64{size()} * kTaskloopChunksPerMember);
     }
-    // One shared copy of the body: chunk tasks only read it.
-    auto body = std::make_shared<std::function<void(i64, i64)>>(
-        std::move(chunk_body));
     const i64 base = trips / chunks;
     const i64 rem = trips % chunks;
     // Place-aware spray (DESIGN.md S1.9): on a multi-place team the chunk
@@ -1027,29 +1028,28 @@ void Team::taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize,
       const i64 clo = start;
       const i64 chi = start + len;
       start = chi;
-      std::function<void()> chunk_task = [body, clo, chi] {
-        (*body)(clo, chi);
-      };
+      auto run_chunk = [chunk, ctx, clo, chi] { chunk(clo, chi, ctx); };
       if (!spray) {
-        task_create(ts, std::move(chunk_task));
+        task_create(ts, run_chunk);
         continue;
       }
       const i32 shard = static_cast<i32>(c % sm.nshards);
       const auto& members = sm.shard_members[static_cast<std::size_t>(shard)];
       const i32 target = members[static_cast<std::size_t>(
           (c / sm.nshards) % static_cast<i64>(members.size()))];
-      if (target == ts.tid ||
-          fault_should_fail(FaultSite::kAlloc)) {
-        // Same-degradation spray: an injected failure keeps the chunk local
-        // (task_create's own fault check then decides deferred vs inline).
-        task_create(ts, std::move(chunk_task));
-      } else {
-        tasks_.push_remote(target, new_task(ts, std::move(chunk_task),
-                                            /*priority=*/0));
-        // Wake parked join-barrier waiters, mirroring enqueue_task: the
-        // mailed task is their work too (own-mailbox pull or steal).
-        bar_gate_.wake_all();
+      // Same-degradation spray: a chunk aimed at ourselves, or whose record
+      // allocation failed, stays local (task_create's own allocation then
+      // decides deferred vs inline).
+      TaskPtr task;
+      if (target != ts.tid) task = new_task(ts, run_chunk, /*priority=*/0);
+      if (!task) {
+        task_create(ts, run_chunk);
+        continue;
       }
+      tasks_.push_remote(target, std::move(task));
+      // Wake parked join-barrier waiters, mirroring enqueue_task: the
+      // mailed task is their work too (own-mailbox pull or steal).
+      bar_gate_.wake_all();
     }
   }
   taskgroup_end(ts, group);

@@ -315,28 +315,45 @@ class Team {
   u64 count_total(Metric m) const;
 
   /// Creates (or, for size-1 teams, `if(false)` tasks and descendants of
-  /// final tasks, runs inline) an explicit task whose body is `body`. This is
-  /// the zero-dependence fast path; depend/final/priority go through
-  /// task_create_ex.
-  void task_create(ThreadState& ts, std::function<void()> body,
+  /// final tasks, runs inline) an explicit task whose body is `body`:
+  /// task_create_ex without clauses.
+  void task_create(ThreadState& ts, const TaskBody& body,
                    bool deferred = true);
 
   /// Full-featured task creation: depend(in/out/inout) edges against the
   /// current task's dependence table, if(false)/final undeferred execution
   /// (after dependences are satisfied), priority recording. With
-  /// opts.ndeps == 0 this degrades to exactly the task_create fast path.
-  void task_create_ex(ThreadState& ts, std::function<void()> body,
+  /// opts.ndeps == 0 it takes the zero-dependence fast path.
+  void task_create_ex(ThreadState& ts, const TaskBody& body,
                       const TaskOpts& opts);
 
-  /// `taskloop`: splits [lo, hi) into chunk tasks and runs `chunk_body(clo,
-  /// chi)` as one task per chunk inside an implicit taskgroup (returns when
-  /// every chunk completed). num_tasks > 0 requests that many chunks
-  /// (clamped to the trip count); otherwise grainsize > 0 gives
+  /// Chunk entry of a taskloop: runs iterations [chunk_lo, chunk_hi).
+  using ChunkFn = void (*)(i64 chunk_lo, i64 chunk_hi, void* ctx);
+
+  /// `taskloop`: splits [lo, hi) into chunk tasks and runs `chunk(clo, chi,
+  /// ctx)` as one task per chunk inside an implicit taskgroup (returns when
+  /// every chunk completed, so `ctx` only has to outlive the call — chunk
+  /// tasks carry the pointer, not a copy). num_tasks > 0 requests that many
+  /// chunks (clamped to the trip count); otherwise grainsize > 0 gives
   /// ceil(trips/grainsize) chunks; otherwise a default of
   /// kTaskloopChunksPerMember chunks per member keeps thieves fed without
   /// drowning the deques.
   void taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize, i64 num_tasks,
-                std::function<void(i64, i64)> chunk_body);
+                ChunkFn chunk, void* ctx);
+
+  /// taskloop over a `void(i64 chunk_lo, i64 chunk_hi)` callable, which the
+  /// chunk tasks reference in place (the call blocks until they finished).
+  template <typename F>
+  void taskloop(ThreadState& ts, i64 lo, i64 hi, i64 grainsize, i64 num_tasks,
+                F&& chunk) {
+    using C = std::remove_reference_t<F>;
+    taskloop(
+        ts, lo, hi, grainsize, num_tasks,
+        [](i64 chunk_lo, i64 chunk_hi, void* ctx) {
+          (*static_cast<C*>(ctx))(chunk_lo, chunk_hi);
+        },
+        const_cast<void*>(static_cast<const void*>(std::addressof(chunk))));
+  }
 
   /// Task scheduling point: waits until the current task's children finished,
   /// executing queued tasks while waiting. Also retires the current task's
@@ -416,35 +433,40 @@ class Team {
   /// chunk costs while keeping per-task overhead amortised.
   static constexpr i64 kTaskloopChunksPerMember = 4;
 
-  /// Runs a task body with full parent/group accounting. `counted` says the
-  /// task went through the pool (and must decrement `outstanding`); tasks
-  /// that overflowed the bounded deque run inline with counted == false.
-  void execute_task(ThreadState& ts, std::unique_ptr<Task> task,
-                    bool counted = true);
+  /// Runs a task body with full parent/group accounting, then recycles the
+  /// record — before the task's completion becomes visible through its
+  /// parent/group counts, so no waiter can outrun the record's return.
+  void execute_task(ThreadState& ts, TaskPtr task);
 
   /// Runs `body` undeferred at the creation point in a fresh task context
-  /// (the if(false)/final/serial-team path).
-  void run_task_inline(ThreadState& ts, std::function<void()>& body,
-                       bool final_ctx);
+  /// (the if(false)/final/serial-team/allocation-failure path).
+  void run_task_inline(ThreadState& ts, const TaskBody& body, bool final_ctx);
 
   /// Builds a deferred task and links it into the parent/group counts — the
   /// one place Task construction and accounting live, shared by the fast
-  /// path, the with-clauses path, and the dependence path (which parks the
-  /// result instead of enqueueing it).
-  std::unique_ptr<Task> new_task(ThreadState& ts, std::function<void()> body,
-                                 i32 priority);
+  /// path, the with-clauses path, the taskloop spray, and the dependence path
+  /// (which parks the result instead of enqueueing it). Null when the record
+  /// allocation failed (injected FaultSite::kAlloc): nothing was linked, and
+  /// the caller runs the body inline instead.
+  TaskPtr new_task(ThreadState& ts, const TaskBody& body, i32 priority);
 
   /// Publishes a ready task: pushes onto `ts`'s deque (waking parked join
   /// waiters so they can help) or, when the bounded deque is full, executes
   /// it inline — a legal task scheduling point that also releases the
   /// rejected task's own successors.
-  void enqueue_task(ThreadState& ts, std::unique_ptr<Task> task);
+  void enqueue_task(ThreadState& ts, TaskPtr task);
+
+  /// True while any implicit task of the team still has an unfinished child
+  /// — the barrier drain condition (DESIGN.md S1.3): every explicit task
+  /// stays counted in its parent until it and all its descendants finished,
+  /// so this is false exactly when the team's tasks drained.
+  bool tasks_pending() const;
 
   /// Marks `node` complete and releases its successors: each successor whose
   /// predecessor count hits zero is unparked onto `ts`'s deque. Called
-  /// before the completing task's own outstanding/children decrements so the
-  /// join barrier's drain count never dips to zero with a releasable task
-  /// still parked.
+  /// before the completing task's own parent/group decrements (parked
+  /// successors are already counted in their parent's children, so the
+  /// barrier's drain cannot miss them either way).
   void complete_depnode(ThreadState& ts, DepNode& node);
 
   /// Recomputes the locality products of the binding plan: the shard map and

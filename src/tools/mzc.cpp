@@ -20,7 +20,9 @@
 //   -O0 / -O1      optimizer level (default -O1: fold, fuse, dce-hoist —
 //                  see core/passes.h)
 //   --dump-ir=PASS print the module's IR after pass PASS to stdout (one of
-//                  the pipeline pass names, or "all"; repeatable)
+//                  the pipeline pass names, or "all"; repeatable). A name
+//                  the pipeline does not run is an error (exit 1) that
+//                  lists the valid names.
 //   --dump-ast     print the transformed AST instead of generating code
 //   --dump-stats   print directive-engine + optimizer statistics to stderr
 #include <cstdio>

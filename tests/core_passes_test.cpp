@@ -494,5 +494,29 @@ pub fn run(out: []i64) void {
   EXPECT_EQ(opt[2], 198);   // lastprivate from i = 99
 }
 
+TEST(DumpIrNamesTest, UnknownPassNameIsAnErrorListingTheValidNames) {
+  const std::string source = "pub fn f(x: i64) i64 { return x + 1; }\n";
+  for (const char* name : {"bogus", "static-spec"}) {
+    auto result = compile_at(source, /*opt_level=*/1, {"sema", name});
+    EXPECT_FALSE(result.ok) << name;
+    EXPECT_TRUE(result.ir_dumps.empty()) << name;
+    const std::string diags = result.diagnostics_text();
+    EXPECT_TRUE(contains(diags, std::string("unknown pass '") + name + "'"))
+        << diags;
+    EXPECT_TRUE(contains(diags, "(valid: omp-lower, sema, fold, fuse, "
+                                "dce-hoist, verify, all)"))
+        << diags;
+  }
+  // A pass only -O1 runs is unknown at -O0, and the list says so.
+  auto o0 = compile_at(source, /*opt_level=*/0, {"fold"});
+  EXPECT_FALSE(o0.ok);
+  EXPECT_TRUE(contains(o0.diagnostics_text(), "(valid: omp-lower, sema, all)"))
+      << o0.diagnostics_text();
+  auto o1 = compile_at(source, /*opt_level=*/1, {"fold"});
+  ASSERT_TRUE(o1.ok) << o1.diagnostics_text();
+  ASSERT_EQ(o1.ir_dumps.size(), 1u);
+  EXPECT_EQ(o1.ir_dumps[0].first, "fold");
+}
+
 }  // namespace
 }  // namespace zomp::core

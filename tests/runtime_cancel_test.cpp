@@ -255,9 +255,8 @@ TEST_F(CancelTest, CancelParallelStress) {
         [&] {
           ThreadState& ts = current_thread();
           entered.fetch_add(1);
-          for (volatile int spin = 0; spin < (ts.tid * 37 + round) % 101;
-               ++spin) {
-          }
+          volatile int spin = 0;
+          while (spin < (ts.tid * 37 + round) % 101) spin = spin + 1;
           if (ts.tid == round % 4) {
             if (ts.team->cancel_activate(ts, Team::kCancelParallel)) return;
           }
