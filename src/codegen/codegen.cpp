@@ -3,7 +3,8 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "lang/sema.h"
+#include "core/lower.h"
+#include "runtime/abi.h"
 
 namespace zomp::codegen {
 
@@ -13,9 +14,7 @@ using lang::CaptureMode;
 using lang::Expr;
 using lang::FnDecl;
 using lang::Module;
-using lang::ReduceOp;
 using lang::ScalarKind;
-using lang::ScheduleSpec;
 using lang::Stmt;
 using lang::Symbol;
 using lang::Type;
@@ -57,69 +56,14 @@ std::string escape_string(const std::string& s) {
   return out;
 }
 
-const char* schedule_kind_value(ScheduleSpec::Kind kind) {
-  switch (kind) {
-    case ScheduleSpec::Kind::kUnspecified:
-    case ScheduleSpec::Kind::kStatic: return "0";
-    case ScheduleSpec::Kind::kDynamic: return "1";
-    case ScheduleSpec::Kind::kGuided: return "2";
-    case ScheduleSpec::Kind::kAuto: return "3";
-    case ScheduleSpec::Kind::kRuntime: return "4";
-  }
-  return "0";
-}
-
 bool stmt_contains_omp(const Stmt& stmt) {
-  switch (stmt.kind) {
-    case Stmt::Kind::kOmpFork:
-    case Stmt::Kind::kOmpWsLoop:
-    case Stmt::Kind::kOmpBarrier:
-    case Stmt::Kind::kOmpCritical:
-    case Stmt::Kind::kOmpSingle:
-    case Stmt::Kind::kOmpMaster:
-    case Stmt::Kind::kOmpAtomic:
-    case Stmt::Kind::kOmpOrdered:
-    case Stmt::Kind::kOmpReductionInit:
-    case Stmt::Kind::kOmpReductionCombine:
-    case Stmt::Kind::kOmpLastprivateWrite:
-    case Stmt::Kind::kOmpTask:
-    case Stmt::Kind::kOmpTaskwait:
-    case Stmt::Kind::kOmpTaskgroup:
-    case Stmt::Kind::kOmpTaskloop:
-    case Stmt::Kind::kOmpCancel:
-    case Stmt::Kind::kOmpCancellationPoint:
-      return true;
-    default:
-      break;
-  }
+  if (stmt.kind >= Stmt::Kind::kOmpFork) return true;  // Omp* kinds come last
   for (const auto& s : stmt.stmts) {
     if (stmt_contains_omp(*s)) return true;
   }
   for (const Stmt* child : {stmt.then_block.get(), stmt.else_block.get(),
                             stmt.step.get(), stmt.body.get()}) {
     if (child != nullptr && stmt_contains_omp(*child)) return true;
-  }
-  return false;
-}
-
-/// Does this subtree contain a `cancel for` / `cancellation point for` that
-/// binds to the ws-loop about to be emitted? Recursion stops at nested
-/// kOmpWsLoop nodes — a cancel inside one binds there, not here — so the
-/// enclosing loop only materialises its escape label when a goto will
-/// actually target it (keeps -Wunused-label quiet).
-bool subtree_has_cancel_for(const Stmt& stmt) {
-  if ((stmt.kind == Stmt::Kind::kOmpCancel ||
-       stmt.kind == Stmt::Kind::kOmpCancellationPoint) &&
-      stmt.cancel_construct == 2) {
-    return true;
-  }
-  if (stmt.kind == Stmt::Kind::kOmpWsLoop) return false;
-  for (const auto& s : stmt.stmts) {
-    if (subtree_has_cancel_for(*s)) return true;
-  }
-  for (const Stmt* child : {stmt.then_block.get(), stmt.else_block.get(),
-                            stmt.step.get(), stmt.body.get()}) {
-    if (child != nullptr && subtree_has_cancel_for(*child)) return true;
   }
   return false;
 }
@@ -150,7 +94,8 @@ class Emitter {
       }
       out_ << "  " << cpp_type(fn->return_type) << ' ' << fn->name << '(';
       emit_param_list(*fn, /*with_names=*/false);
-      out_ << ");\n";
+      out_ << ");";
+      out_ << '\n';
     }
     if (have_extern) out_ << "}\n\n";
 
@@ -199,7 +144,8 @@ class Emitter {
         if (i > 0) out_ << ", ";
         out_ << cpp_type(fn->params[i].type) << ' ' << fn->params[i].name;
       }
-    out_ << ");\n";
+    out_ << ");";
+    out_ << '\n';
     }
     out_ << "}  // namespace " << ns_ << "\n";
     return out_.str();
@@ -222,6 +168,7 @@ class Emitter {
     line() << "static constexpr zomp_ident_t " << name << " = {\""
            << module_.name << ".mz\", \"" << construct << "\", "
            << stmt.loc.line << "};";
+    out_ << '\n';
     return name;
   }
 
@@ -233,6 +180,17 @@ class Emitter {
   }
   void open() { ++indent_; }
   void close() { --indent_; }
+  /// `{` on its own line, then one level deeper; close_block() undoes it.
+  void open_block() {
+    line() << "{";
+    out_ << '\n';
+    open();
+  }
+  void close_block() {
+    close();
+    line() << "}";
+    out_ << '\n';
+  }
 
   // -- Globals / functions ------------------------------------------------------
 
@@ -308,36 +266,16 @@ class Emitter {
 
   // -- Statements ------------------------------------------------------------------
 
-  /// Emits a statement list, folding each run of adjacent reduction combines
-  /// (Stmt::red_pack, set by the directive engine) into ONE packed
-  /// zomp_reduce rendezvous for the whole construct.
   void emit_stmt_list(const std::vector<lang::StmtPtr>& stmts) {
-    for (std::size_t i = 0; i < stmts.size(); ++i) {
-      const Stmt& s = *stmts[i];
-      if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack >= 1 &&
-          i + static_cast<std::size_t>(s.red_pack) <= stmts.size()) {
-        std::vector<const Stmt*> run;
-        for (int k = 0; k < s.red_pack; ++k) {
-          run.push_back(stmts[i + static_cast<std::size_t>(k)].get());
-        }
-        emit_reduce_pack(run);
-        i += static_cast<std::size_t>(s.red_pack) - 1;
-        continue;
-      }
-      emit_stmt(s);
-    }
+    for (const auto& s : stmts) emit_stmt(*s);
   }
 
   void emit_stmt(const Stmt& stmt) {
     switch (stmt.kind) {
       case Stmt::Kind::kBlock:
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         emit_stmt_list(stmt.stmts);
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       case Stmt::Kind::kVarDecl:
         line() << (stmt.is_const ? "const " : "") << cpp_type(stmt.symbol->type)
@@ -349,11 +287,11 @@ class Emitter {
         break;
       case Stmt::Kind::kAssign:
         line() << expr(*stmt.lhs) << ' ' << assign_op_text(stmt.assign_op)
-               << ' ' << expr(*stmt.rhs) << ';';
+               << ' ' << expr(*stmt.rhs) << ";";
         out_ << '\n';
         break;
       case Stmt::Kind::kExprStmt:
-        line() << expr(*stmt.expr) << ';';
+        line() << expr(*stmt.expr) << ";";
         out_ << '\n';
         break;
       case Stmt::Kind::kIf:
@@ -394,18 +332,14 @@ class Emitter {
         out_ << '\n';
         open();
         emit_stmt_list(stmt.body->stmts);
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
       case Stmt::Kind::kForRange: {
         hoist_packs_for_loop(stmt);
         const std::string lo = fresh("flo");
         const std::string hi = fresh("fhi");
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         line() << "const std::int64_t " << lo << " = " << expr(*stmt.expr)
                << ", " << hi << " = " << expr(*stmt.rhs) << ";";
         out_ << '\n';
@@ -415,12 +349,8 @@ class Emitter {
         out_ << '\n';
         open();
         emit_stmt_list(stmt.body->stmts);
-        close();
-        line() << "}";
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
+        close_block();
         break;
       }
       case Stmt::Kind::kReturn:
@@ -443,15 +373,10 @@ class Emitter {
       case Stmt::Kind::kOmpFork: emit_fork(stmt); break;
       case Stmt::Kind::kOmpWsLoop: emit_ws_loop(stmt); break;
       case Stmt::Kind::kOmpBarrier: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "barrier");
-        out_ << '\n';
         emit_barrier_call(loc);
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
       case Stmt::Kind::kOmpCancel:
@@ -459,11 +384,8 @@ class Emitter {
         emit_cancel(stmt);
         break;
       case Stmt::Kind::kOmpCritical: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "critical");
-        out_ << '\n';
         line() << "zomp_critical(&" << loc << ", __gtid, "
                << escape_string(stmt.name) << ");";
         out_ << '\n';
@@ -471,80 +393,64 @@ class Emitter {
         line() << "zomp_end_critical(&" << loc << ", __gtid, "
                << escape_string(stmt.name) << ");";
         out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
       case Stmt::Kind::kOmpSingle: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "single");
-        out_ << '\n';
         line() << "if (zomp_single(&" << loc << ", __gtid)) {";
         out_ << '\n';
         open();
         emit_stmt(*stmt.body);
         line() << "zomp_end_single(&" << loc << ", __gtid);";
         out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         if (!stmt.nowait) {
           emit_barrier_call(loc);
         }
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
       case Stmt::Kind::kOmpMaster: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "master");
-        out_ << '\n';
         line() << "if (zomp_master(&" << loc << ", __gtid)) {";
         out_ << '\n';
         open();
         emit_stmt(*stmt.body);
-        close();
-        line() << "}";
-        out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
+        close_block();
         break;
       }
       case Stmt::Kind::kOmpAtomic: emit_atomic(stmt); break;
       case Stmt::Kind::kOmpOrdered: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "ordered");
-        out_ << '\n';
         const std::string index = ordered_index_;
         line() << "zomp_ordered(&" << loc << ", __gtid, " << index << ");";
         out_ << '\n';
         emit_stmt(*stmt.body);
-        line() << "zomp_end_ordered(&" << loc << ", __gtid, " << index << ");";
+        line() << "zomp_end_ordered(&" << loc << ", __gtid, " << index
+               << ");";
         out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
-      case Stmt::Kind::kOmpReductionInit:
+      case Stmt::Kind::kOmpReductionInit: {
+        const Type elem =
+            stmt.rhs ? stmt.symbol->type.element() : stmt.symbol->type;
+        const std::string identity =
+            "mz::reduce_identity<" + cpp_type(elem) + ">(mz::ReduceOp::" +
+            lang::reduce_op_spelling(stmt.reduce_op, /*enumerator=*/true) +
+            ")";
         if (stmt.rhs) {
           // Array section: a len-element private accumulator of identities,
           // seen through a plain slice.
-          const Type elem = stmt.symbol->type.element();
           const std::string acc = fresh("secacc");
           line() << "std::vector<" << cpp_type(elem) << "> " << acc
                  << " = mz::section_acc<" << cpp_type(elem) << ">("
-                 << expr(*stmt.rhs) << ", "
-                 << identity_text(stmt.reduce_op, elem) << ");";
+                 << expr(*stmt.rhs) << ", " << identity << ");";
           out_ << '\n';
           line() << cpp_type(stmt.symbol->type) << ' ' << var_name(stmt.symbol)
                  << "{" << acc << ".data(), static_cast<std::int64_t>(" << acc
@@ -553,32 +459,23 @@ class Emitter {
           break;
         }
         line() << cpp_type(stmt.symbol->type) << ' ' << var_name(stmt.symbol)
-               << " = " << identity_text(stmt.reduce_op, stmt.symbol->type)
-               << ';';
+               << " = " << identity << ";";
         out_ << '\n';
         break;
-      case Stmt::Kind::kOmpReductionCombine:
-        // Combine runs normally arrive through emit_stmt_list; a lone
-        // combine is a run of one.
-        emit_reduce_pack({&stmt});
-        break;
+      }
+      case Stmt::Kind::kOmpReductionCombine: emit_reduce(stmt); break;
       case Stmt::Kind::kOmpLastprivateWrite:
         line() << var_name(stmt.target_symbol) << " = "
-               << var_name(stmt.symbol) << ';';
+               << var_name(stmt.symbol) << ";";
         out_ << '\n';
         break;
       case Stmt::Kind::kOmpTask: emit_task(stmt); break;
       case Stmt::Kind::kOmpTaskwait: {
-        line() << "{";
-        out_ << '\n';
-        open();
+        open_block();
         const std::string loc = loc_ident(stmt, "taskwait");
-        out_ << '\n';
         line() << "zomp_taskwait(&" << loc << ", __gtid);";
         out_ << '\n';
-        close();
-        line() << "}";
-        out_ << '\n';
+        close_block();
         break;
       }
       case Stmt::Kind::kOmpTaskgroup: emit_taskgroup(stmt); break;
@@ -592,7 +489,8 @@ class Emitter {
   /// outlined functions there is no region frame to leave — the serial
   /// team's barrier is a no-op anyway — so the result is dropped.
   void emit_barrier_call(const std::string& loc) {
-    if (current_fn_outlined_) {
+    if (core::barrier_escape(current_fn_outlined_) ==
+        core::CancelEscape::kLeaveFrame) {
       line() << "if (zomp_barrier(&" << loc << ", __gtid)) return;";
     } else {
       line() << "zomp_barrier(&" << loc << ", __gtid);";
@@ -601,49 +499,41 @@ class Emitter {
   }
 
   void emit_cancel(const Stmt& stmt) {
+    const core::CancelPlan plan = core::plan_cancel(
+        stmt, !cancel_for_label_.empty(), current_fn_outlined_);
     const bool point = stmt.kind == Stmt::Kind::kOmpCancellationPoint;
-    const char* fn = point ? "zomp_cancellation_point" : "zomp_cancel";
-    line() << "{";
-    out_ << '\n';
-    open();
+    const std::string fn = point ? "zomp_cancellation_point" : "zomp_cancel";
+    const char* construct = plan.construct == ZOMP_CANCEL_LOOP
+                                ? "ZOMP_CANCEL_LOOP"
+                                : plan.construct == ZOMP_CANCEL_TASKGROUP
+                                      ? "ZOMP_CANCEL_TASKGROUP"
+                                      : "ZOMP_CANCEL_PARALLEL";
+    open_block();
     const std::string loc =
         loc_ident(stmt, point ? "cancellation point" : "cancel");
-    out_ << '\n';
-    if (stmt.cancel_construct == 2 && !cancel_for_label_.empty()) {
-      // Loop cancellation, closely nested: jump to the escape label the
-      // enclosing ws-loop emission planted before its closing barrier (the
-      // label detaches any dispatch-ring slot; the barrier then clears the
-      // loop flag team-wide).
-      line() << "if (" << fn << "(&" << loc << ", __gtid, ZOMP_CANCEL_LOOP)) "
-             << "goto " << cancel_for_label_ << ";";
-    } else if (stmt.cancel_construct == 2) {
-      // Orphaned loop cancel: no statically enclosing ws-loop to escape.
-      // Activating the flag still drains dynamic dispatch and trips the
-      // other members' cancellation points; this thread finishes its chunk.
-      line() << "(void)" << fn << "(&" << loc << ", __gtid, ZOMP_CANCEL_LOOP);";
-    } else {
-      const char* construct = stmt.cancel_construct == 4
-                                  ? "ZOMP_CANCEL_TASKGROUP"
-                                  : "ZOMP_CANCEL_PARALLEL";
-      if (current_fn_outlined_) {
-        // Cancelled parallel members return to the region join; cancelled
-        // taskgroup tasks return to their task's end. Either way the frame
-        // being left is this outlined function. A dispatch slot held across
-        // the return would leak its ring entry — break it first (no-op when
-        // the thread is not mid-dispatch).
-        line() << "if (" << fn << "(&" << loc << ", __gtid, " << construct
-               << ")) { zomp_dispatch_break(&" << loc
+    const std::string call =
+        fn + "(&" + loc + ", __gtid, " + construct + ")";
+    switch (plan.escape) {
+      case core::CancelEscape::kLeaveLoop:
+        // Jump to the escape label the enclosing ws-loop emission planted
+        // before its closing barrier (the label detaches any dispatch-ring
+        // slot; the barrier then clears the loop flag team-wide).
+        line() << "if (" << call << ") goto " << cancel_for_label_ << ";";
+        break;
+      case core::CancelEscape::kLeaveFrame:
+        // A dispatch slot held across the return would leak its ring entry
+        // — break it first (no-op when the thread is not mid-dispatch).
+        line() << "if (" << call << ") { zomp_dispatch_break(&" << loc
                << ", __gtid); return; }";
-      } else {
-        // Orphaned (serial/implicit region): set the flag, no frame to leave.
-        line() << "(void)" << fn << "(&" << loc << ", __gtid, " << construct
-               << ");";
-      }
+        break;
+      case core::CancelEscape::kFlagOnly:
+        // Activating the flag still drains dynamic dispatch and trips the
+        // other members' cancellation points; this thread runs on.
+        line() << "(void)" << call << ";";
+        break;
     }
     out_ << '\n';
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
   /// Emits a fork's void* capture pack at the current position and remembers
@@ -653,7 +543,13 @@ class Emitter {
   /// declared outside the loops being hoisted past, so the addresses are
   /// invariant there.
   void emit_hoisted_pack(const Stmt& fork) {
-    const std::string args = fresh("hoistargs");
+    hoisted_args_.emplace(&fork, emit_arg_pack(fork, "hoistargs"));
+  }
+
+  /// The fork's `void*` argument array of capture addresses; returns its
+  /// name.
+  std::string emit_arg_pack(const Stmt& fork, const char* base) {
+    const std::string args = fresh(base);
     line() << "void* " << args << "["
            << std::max<std::size_t>(1, fork.captures.size()) << "] = {";
     for (std::size_t i = 0; i < fork.captures.size(); ++i) {
@@ -662,7 +558,7 @@ class Emitter {
     }
     if (fork.captures.empty()) out_ << "nullptr";
     out_ << "};\n";
-    hoisted_args_.emplace(&fork, args);
+    return args;
   }
 
   /// Pre-order scan under a serial loop about to be emitted: forks whose
@@ -701,26 +597,12 @@ class Emitter {
   }
 
   void emit_fork(const Stmt& stmt) {
-    line() << "{";
-    out_ << '\n';
-    open();
+    open_block();
     const std::string loc = loc_ident(stmt, "parallel");
-    out_ << '\n';
-    std::string args;
     const auto hoisted = hoisted_args_.find(&stmt);
-    if (hoisted != hoisted_args_.end()) {
-      args = hoisted->second;
-    } else {
-      args = fresh("args");
-      line() << "void* " << args << "["
-             << std::max<std::size_t>(1, stmt.captures.size()) << "] = {";
-      for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
-        if (i > 0) out_ << ", ";
-        out_ << "(void*)&" << var_name(stmt.captures[i].symbol);
-      }
-      if (stmt.captures.empty()) out_ << "nullptr";
-      out_ << "};\n";
-    }
+    const std::string args = hoisted != hoisted_args_.end()
+                                 ? hoisted->second
+                                 : emit_arg_pack(stmt, "args");
     if (stmt.num_threads) {
       line() << "zomp_push_num_threads(&" << loc
              << ", (std::int32_t)(" << expr(*stmt.num_threads) << "));";
@@ -742,9 +624,7 @@ class Emitter {
              << "_mt, " << stmt.captures.size() << ", " << args << ");";
     }
     out_ << '\n';
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
   /// Seeds the original induction variables of a collapsed nest from the
@@ -786,17 +666,10 @@ class Emitter {
 
   void emit_ws_loop(const Stmt& stmt) {
     const Stmt& loop = *stmt.body;  // kForRange, validated by sema
-    const bool needs_dispatch =
-        stmt.ordered ||
-        stmt.schedule.kind == ScheduleSpec::Kind::kDynamic ||
-        stmt.schedule.kind == ScheduleSpec::Kind::kGuided ||
-        stmt.schedule.kind == ScheduleSpec::Kind::kRuntime;
+    const core::LoopPlan plan = core::plan_loop(stmt);
 
-    line() << "{";
-    out_ << '\n';
-    open();
+    open_block();
     const std::string loc = loc_ident(stmt, "for");
-    out_ << '\n';
     const std::string lo = fresh("wslo");
     const std::string hi = fresh("wshi");
     line() << "const std::int64_t " << lo << " = " << expr(*loop.expr) << ", "
@@ -815,20 +688,17 @@ class Emitter {
     // thread still detaches its dispatch slot / runs static fini / arrives
     // at the barrier that clears the team-wide loop flag.
     const std::string saved_cancel_label = cancel_for_label_;
-    cancel_for_label_ =
-        subtree_has_cancel_for(*loop.body) ? fresh("cancel_for") : "";
+    cancel_for_label_ = plan.cancel_escape ? fresh("cancel_for") : "";
 
     const std::string had_last = fresh("hadlast");
-    const bool track_last = !stmt.lastprivate.empty();
-    if (track_last) {
+    if (plan.track_last) {
       line() << "std::int32_t " << had_last << " = 0;";
       out_ << '\n';
     }
 
-    if (needs_dispatch) {
-      line() << "zomp_dispatch_init(&" << loc << ", __gtid, "
-             << schedule_kind_value(stmt.schedule.kind) << ", " << chunk
-             << ", " << lo << ", " << hi << ", 1);";
+    if (plan.dispatch) {
+      line() << "zomp_dispatch_init(&" << loc << ", __gtid, " << plan.schedule
+             << ", " << chunk << ", " << lo << ", " << hi << ", 1);";
       out_ << '\n';
       const std::string clo = fresh("clo");
       const std::string chi = fresh("chi");
@@ -848,16 +718,12 @@ class Emitter {
       out_ << '\n';
       open();
       emit_stmt_list(loop.body->stmts);
-      close();
-      line() << "}";
-      out_ << '\n';
-      if (track_last) {
+      close_block();
+      if (plan.track_last) {
         line() << "if (" << clast << ") " << had_last << " = 1;";
         out_ << '\n';
       }
-      close();
-      line() << "}";
-      out_ << '\n';
+      close_block();
       if (!cancel_for_label_.empty()) {
         // Normal exhaustion already detached the slot; the goto path still
         // holds it. zomp_dispatch_break is a no-op when unbound.
@@ -899,12 +765,8 @@ class Emitter {
       out_ << '\n';
       open();
       emit_stmt_list(loop.body->stmts);
-      close();
-      line() << "}";
-      out_ << '\n';
-      close();
-      line() << "}";
-      out_ << '\n';
+      close_block();
+      close_block();
       if (!cancel_for_label_.empty()) {
         // Before the fini call: the cancelling thread must still retire its
         // static-loop bookkeeping.
@@ -913,7 +775,7 @@ class Emitter {
       }
       line() << "zomp_for_static_fini(&" << loc << ", __gtid);";
       out_ << '\n';
-      if (track_last) {
+      if (plan.track_last) {
         line() << "if (" << last << ") " << had_last << " = 1;";
         out_ << '\n';
       }
@@ -922,24 +784,20 @@ class Emitter {
     ordered_index_ = saved_ordered;
     cancel_for_label_ = saved_cancel_label;
 
-    if (track_last) {
+    if (plan.track_last) {
       line() << "if (" << had_last << ") {";
       out_ << '\n';
       open();
       for (const auto& [local, target] : stmt.lastprivate_syms) {
-        line() << var_name(target) << " = " << var_name(local) << ';';
+        line() << var_name(target) << " = " << var_name(local) << ";";
         out_ << '\n';
       }
-      close();
-      line() << "}";
-      out_ << '\n';
+      close_block();
     }
     if (!stmt.nowait) {
       emit_barrier_call(loc);
     }
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
   void emit_atomic(const Stmt& stmt) {
@@ -982,45 +840,41 @@ class Emitter {
     out_ << "};\n";
   }
 
-  void emit_task(const Stmt& stmt) {
+  /// The struct whose static run(`params`) unpacks the capture pack and
+  /// calls the outlined body, appending `extra` arguments.
+  void emit_task_thunk(const Stmt& stmt, const std::string& pack,
+                       const std::string& thunk, const char* params,
+                       const char* extra) {
     const FnDecl& callee = *stmt.callee_decl;
-    line() << "{";
-    out_ << '\n';
-    open();
-    const std::string loc = loc_ident(stmt, "task");
-    out_ << '\n';
-    const std::string pack = fresh("taskargs");
-    emit_task_pack(stmt, callee, pack);
-    const std::string thunk = fresh("taskfn");
-    line() << "struct " << thunk << "_s { static void run(void* __p) {";
+    line() << "struct " << thunk << "_s { static void run(" << params
+           << ") {";
     out_ << '\n';
     open();
     line() << "auto* __a = static_cast<" << pack << "_t*>(__p);";
     out_ << '\n';
     line() << callee.name << "(zomp_get_thread_num(), zomp_get_thread_num()";
-    for (std::size_t i = 0; i < callee.params.size(); ++i) {
+    for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
       out_ << ", " << (callee.params[i].indirect ? "*__a->a" : "__a->a") << i;
     }
-    out_ << ");\n";
+    out_ << extra << ");\n";
     close();
     line() << "} };";
     out_ << '\n';
-    const bool rich = !stmt.depends.empty() || stmt.final_clause != nullptr ||
-                      stmt.priority != nullptr || stmt.untied ||
-                      stmt.if_clause != nullptr;
-    if (!rich) {
-      // Zero-clause fast path: identical emission to the pre-task-graph
-      // runtime entry point. An if clause is deliberately "rich": if(false)
-      // must run as an UNDEFERRED TASK (fresh context, children drained at
-      // the construct, runtime's run_task_inline) — calling the thunk raw
-      // here would parent nested tasks to the enclosing task and diverge
-      // from the interpreter.
+  }
+
+  void emit_task(const Stmt& stmt) {
+    open_block();
+    const std::string loc = loc_ident(stmt, "task");
+    const std::string pack = fresh("taskargs");
+    emit_task_pack(stmt, *stmt.callee_decl, pack);
+    const std::string thunk = fresh("taskfn");
+    emit_task_thunk(stmt, pack, thunk, "void* __p", "");
+    const core::TaskPlan plan = core::plan_task(stmt);
+    if (plan.fast) {
       line() << "zomp_task(&" << loc << ", __gtid, &" << thunk << "_s::run, &"
              << pack << ", sizeof(" << pack << "));";
       out_ << '\n';
-      close();
-      line() << "}";
-      out_ << '\n';
+      close_block();
       return;
     }
     // Full path: depend addresses are evaluated HERE, in the enclosing
@@ -1046,7 +900,7 @@ class Emitter {
     if (stmt.final_clause) {
       flags += " | ((" + expr(*stmt.final_clause) + ") ? ZOMP_TASK_FINAL : 0)";
     }
-    if (stmt.untied) flags += " | ZOMP_TASK_UNTIED";
+    if (plan.flags & ZOMP_TASK_UNTIED) flags += " | ZOMP_TASK_UNTIED";
     const std::string priority =
         stmt.priority ? "(std::int32_t)(" + expr(*stmt.priority) + ")" : "0";
     line() << "zomp_task_with_deps(&" << loc << ", __gtid, &" << thunk
@@ -1054,17 +908,12 @@ class Emitter {
            << ", " << stmt.depends.size() << ", " << flags << ", " << priority
            << ");";
     out_ << '\n';
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
   void emit_taskgroup(const Stmt& stmt) {
-    line() << "{";
-    out_ << '\n';
-    open();
+    open_block();
     const std::string loc = loc_ident(stmt, "taskgroup");
-    out_ << '\n';
     const std::string guard = fresh("tg");
     // RAII guard: an early `return` out of the block still closes the group
     // (waiting for its tasks), keeping the runtime's group stack balanced.
@@ -1075,38 +924,20 @@ class Emitter {
            << ", __gtid)};";
     out_ << '\n';
     emit_stmt(*stmt.body);
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
   void emit_taskloop(const Stmt& stmt) {
-    const FnDecl& callee = *stmt.callee_decl;
-    line() << "{";
-    out_ << '\n';
-    open();
+    open_block();
     const std::string loc = loc_ident(stmt, "taskloop");
-    out_ << '\n';
     const std::string pack = fresh("tlargs");
-    emit_task_pack(stmt, callee, pack);
+    emit_task_pack(stmt, *stmt.callee_decl, pack);
     // Chunk thunk: the runtime hands each chunk task its [lo, hi) slice; the
     // outlined function's last two parameters receive it by value.
     const std::string thunk = fresh("tlfn");
-    line() << "struct " << thunk
-           << "_s { static void run(std::int64_t __lo, std::int64_t __hi, "
-              "void* __p) {";
-    out_ << '\n';
-    open();
-    line() << "auto* __a = static_cast<" << pack << "_t*>(__p);";
-    out_ << '\n';
-    line() << callee.name << "(zomp_get_thread_num(), zomp_get_thread_num()";
-    for (std::size_t i = 0; i < stmt.captures.size(); ++i) {
-      out_ << ", " << (callee.params[i].indirect ? "*__a->a" : "__a->a") << i;
-    }
-    out_ << ", __lo, __hi);\n";
-    close();
-    line() << "} };";
-    out_ << '\n';
+    emit_task_thunk(stmt, pack, thunk,
+                    "std::int64_t __lo, std::int64_t __hi, void* __p",
+                    ", __lo, __hi");
     const std::string grainsize =
         stmt.grainsize ? "(std::int64_t)(" + expr(*stmt.grainsize) + ")" : "0";
     const std::string num_tasks =
@@ -1116,198 +947,65 @@ class Emitter {
            << expr(*stmt.rhs) << ", " << grainsize << ", " << num_tasks
            << ");";
     out_ << '\n';
-    close();
-    line() << "}";
-    out_ << '\n';
+    close_block();
   }
 
-  // -- Reduction helpers ------------------------------------------------------------
+  // -- Reductions ------------------------------------------------------------------
 
-  /// One packed rendezvous for a run of adjacent reduction combines (every
-  /// list item of one construct): every member deposits one payload — a
-  /// header struct of the scalar partials and the section lengths, followed
-  /// by each array section's partials — the combine function folds each
-  /// field or element with its own operator, and the single winner folds
-  /// everything into the shared targets. One barrier-equivalent per
-  /// construct; payloads past the tree's slot size take its by-reference
-  /// fallback (see runtime/reduce.h).
-  void emit_reduce_pack(const std::vector<const Stmt*>& run) {
-    line() << "{";
-    out_ << '\n';
-    open();
-    const std::string loc = loc_ident(*run[0], "reduction");
-    out_ << '\n';
-    const std::string pack = fresh("redpack");
-    auto field = [&](std::size_t i) {
-      return std::string(run[i]->rhs ? "n" : "v") + std::to_string(i);
-    };
-    auto elem_type = [&](std::size_t i) {
-      return cpp_type(run[i]->symbol->type.element());
-    };
-    line() << "struct " << pack << "_t {";
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      const Stmt& s = *run[i];
-      out_ << ' ' << (s.rhs ? "std::int64_t" : cpp_type(s.symbol->type)) << ' '
-           << field(i) << ';';
-    }
-    out_ << " };\n";
-
-    // Pointer expression to section i's elements in payload `head`: the
-    // sections follow the header in run order, so the byte offset sums the
-    // earlier sections' sizes.
-    auto section_at = [&](const std::string& head, std::size_t i,
-                          bool is_const) {
-      std::string offset;
-      for (std::size_t k = 0; k < i; ++k) {
-        if (!run[k]->rhs) continue;
-        if (!offset.empty()) offset += " + ";
-        offset += head + "->" + field(k) + " * sizeof(" + elem_type(k) + ")";
-      }
-      return "mz::section_at<" + std::string(is_const ? "const " : "") +
-             elem_type(i) + ">(" + head + ", " +
-             (offset.empty() ? "0" : offset) + ")";
-    };
-
-    line() << "struct " << pack << "_s { static void run(void* __a, "
-           << "const void* __b) {";
-    out_ << '\n';
-    open();
-    line() << "auto* __x = static_cast<" << pack << "_t*>(__a);";
-    out_ << '\n';
-    line() << "const auto* __y = static_cast<const " << pack << "_t*>(__b);";
-    out_ << '\n';
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!run[i]->rhs) {
-        line() << combine_text(run[i]->reduce_op, "__x->" + field(i),
-                               "__y->" + field(i))
-               << ';';
-        out_ << '\n';
-        continue;
-      }
-      line() << "{ auto* __xs = " << section_at("__x", i, false)
-             << "; const auto* __ys = " << section_at("__y", i, true) << ';';
-      out_ << '\n';
-      line() << "  for (std::int64_t __j = 0; __j < __x->" << field(i)
-             << "; ++__j) "
-             << combine_text(run[i]->reduce_op, "__xs[__j]", "__ys[__j]")
-             << "; }";
-      out_ << '\n';
-    }
-    close();
-    line() << "} };";
-    out_ << '\n';
-
-    // The deposit: the header struct is built at the front of a payload
-    // buffer and each section's private accumulator is appended after it.
-    const std::string bytes = fresh("redbytes");
-    line() << "const std::size_t " << bytes << " = sizeof(" << pack << "_t)";
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!run[i]->rhs) continue;
-      out_ << " + " << var_name(run[i]->symbol) << ".len * sizeof("
-           << elem_type(i) << ")";
-    }
-    out_ << ";\n";
-    const std::string buf = fresh("redbuf");
-    line() << "std::vector<unsigned char> " << buf << '(' << bytes << ");";
-    out_ << '\n';
-    const std::string head = fresh("redhead");
-    line() << "auto* " << head << " = new (" << buf << ".data()) " << pack
-           << "_t{";
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (i > 0) out_ << ", ";
-      out_ << var_name(run[i]->symbol) << (run[i]->rhs ? ".len" : "");
+  /// One packed rendezvous for a construct's whole reduction list (core::
+  /// ReducePlan): every member deposits one payload of all its partials
+  /// (mz::reduce_pack, the lang/reduce_ops.h layout), the tree folds the
+  /// payloads with mz::reduce_pack_combine over the construct's item array,
+  /// and the single winner folds every item into its shared target. One
+  /// barrier-equivalent per construct; payloads past the tree's slot size
+  /// take its by-reference fallback (see runtime/reduce.h).
+  void emit_reduce(const Stmt& stmt) {
+    const core::ReducePlan plan = core::plan_reduce(stmt);
+    open_block();
+    const std::string loc = loc_ident(stmt, "reduction");
+    const std::string items = fresh("reditems");
+    line() << "static constexpr mz::ReduceItem " << items << "[] = {";
+    for (std::size_t k = 0; k < plan.items.size(); ++k) {
+      const lang::ReduceItem& item = plan.items[k];
+      out_ << (k > 0 ? ", " : "") << "{mz::ReduceOp::"
+           << lang::reduce_op_spelling(item.op, /*enumerator=*/true)
+           << ", mz::ReduceType::" << lang::reduce_type_enumerator(item.type)
+           << ", " << (item.section ? "true" : "false") << '}';
     }
     out_ << "};\n";
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!run[i]->rhs) continue;
-      const std::string local = var_name(run[i]->symbol);
-      line() << "std::copy_n(" << local << ".ptr, " << local << ".len, "
-             << section_at(head, i, false) << ");";
-      out_ << '\n';
+    const std::string thunk = fresh("redfn");
+    line() << "struct " << thunk << " { static void run(void* __a, "
+           << "const void* __b) { mz::reduce_pack_combine(" << items << ", "
+           << plan.items.size() << ", __a, __b); } };";
+    out_ << '\n';
+    const std::string buf = fresh("redbuf");
+    line() << "std::vector<mz::ReduceWord> " << buf << " = mz::reduce_pack(";
+    for (std::size_t k = 0; k < stmt.red_items.size(); ++k) {
+      out_ << (k > 0 ? ", " : "") << var_name(stmt.red_items[k].symbol);
     }
-    line() << "if (zomp_reduce(&" << loc << ", __gtid, " << head << ", "
-           << bytes << ", &" << pack << "_s::run)) {";
+    out_ << ");\n";
+    const std::string bytes = fresh("redbytes");
+    line() << "const std::size_t " << bytes << " = " << buf
+           << ".size() * sizeof(mz::ReduceWord);";
+    out_ << '\n';
+    line() << "if (zomp_reduce(&" << loc << ", __gtid, " << buf << ".data(), "
+           << bytes << ", &" << thunk << "::run)) {";
     out_ << '\n';
     open();
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      const Stmt& s = *run[i];
-      if (!s.rhs) {
-        line() << combine_text(s.reduce_op, var_name(s.target_symbol),
-                               head + "->" + field(i))
-               << ';';
-        out_ << '\n';
-        continue;
-      }
-      // Element j of the section lands at target[lo + j].
-      line() << "{ const auto* __s = " << section_at(head, i, true) << ';';
-      out_ << '\n';
-      line() << "  for (std::int64_t __j = 0; __j < " << head << "->"
-             << field(i) << "; ++__j) "
-             << combine_text(s.reduce_op,
-                             var_name(s.target_symbol) + "[(" + expr(*s.expr) +
-                                 ") + __j]",
-                             "__s[__j]")
-             << "; }";
-      out_ << '\n';
-    }
-    close();
-    line() << "}";
-    out_ << '\n';
-    close();
-    line() << "}";
-    out_ << '\n';
-  }
-
-  std::string identity_text(ReduceOp op, const Type& type) {
-    if (type.is_f64()) {
-      switch (op) {
-        case ReduceOp::kAdd:
-        case ReduceOp::kSub: return "0.0";
-        case ReduceOp::kMul: return "1.0";
-        case ReduceOp::kMin: return "std::numeric_limits<double>::infinity()";
-        case ReduceOp::kMax: return "-std::numeric_limits<double>::infinity()";
-        default: return "0.0";
+    // Element j of a section lands at target[lo + j].
+    line() << "mz::reduce_fold(" << items << ", " << buf << ".data()";
+    for (const auto& item : stmt.red_items) {
+      out_ << ", ";
+      if (item.len) {
+        out_ << "mz::section(" << var_name(item.target_symbol) << ", "
+             << expr(*item.lo) << ", " << var_name(item.symbol) << ".len)";
+      } else {
+        out_ << var_name(item.target_symbol);
       }
     }
-    if (type.is_bool()) {
-      return op == ReduceOp::kLogAnd ? "true" : "false";
-    }
-    switch (op) {
-      case ReduceOp::kAdd:
-      case ReduceOp::kSub: return "0";
-      case ReduceOp::kMul: return "1";
-      case ReduceOp::kMin: return "std::numeric_limits<std::int64_t>::max()";
-      case ReduceOp::kMax: return "std::numeric_limits<std::int64_t>::min()";
-      case ReduceOp::kBitAnd: return "-1";
-      case ReduceOp::kBitOr:
-      case ReduceOp::kBitXor: return "0";
-      // Logical identities on i64 (must match lang::reduce_identity_i64 or
-      // the backends diverge: `and` partials starting at 0 poison the whole
-      // combine).
-      case ReduceOp::kLogAnd: return "1";
-      case ReduceOp::kLogOr: return "0";
-    }
-    return "0";
-  }
-
-  std::string combine_text(ReduceOp op, const std::string& target,
-                           const std::string& local) {
-    switch (op) {
-      case ReduceOp::kAdd: return target + " = " + target + " + " + local;
-      // OpenMP's '-' reduction also combines partials with +.
-      case ReduceOp::kSub: return target + " = " + target + " + " + local;
-      case ReduceOp::kMul: return target + " = " + target + " * " + local;
-      case ReduceOp::kMin:
-        return target + " = mz::mz_min(" + target + ", " + local + ")";
-      case ReduceOp::kMax:
-        return target + " = mz::mz_max(" + target + ", " + local + ")";
-      case ReduceOp::kBitAnd: return target + " = " + target + " & " + local;
-      case ReduceOp::kBitOr: return target + " = " + target + " | " + local;
-      case ReduceOp::kBitXor: return target + " = " + target + " ^ " + local;
-      case ReduceOp::kLogAnd: return target + " = " + target + " && " + local;
-      case ReduceOp::kLogOr: return target + " = " + target + " || " + local;
-    }
-    return target;
+    out_ << ");\n";
+    close_block();
+    close_block();
   }
 
   static const char* assign_op_text(Stmt::AssignOp op) {

@@ -10,15 +10,15 @@
 // The ablate_safety bench compiles the same kernels both ways.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "lang/reduce_ops.h"
 
 namespace mz {
 
@@ -55,7 +55,14 @@ void free_slice(Slice<T> s) {
   delete[] s.ptr;
 }
 
-// -- Array-section reductions ----------------------------------------------
+// -- Reductions (the lang/reduce_ops.h table and payload) -------------------
+
+using zomp::lang::reduce_identity;
+using zomp::lang::reduce_pack_combine;
+using zomp::lang::ReduceItem;
+using zomp::lang::ReduceOp;
+using zomp::lang::ReduceType;
+using zomp::lang::ReduceWord;
 
 /// Private accumulator of `reduction(op: q[lo:len])`: `n` copies of the
 /// operator identity.
@@ -65,13 +72,73 @@ std::vector<T> section_acc(std::int64_t n, T identity) {
   return std::vector<T>(static_cast<std::size_t>(n), identity);
 }
 
-/// Elements of the section that starts `offset` bytes past payload header
-/// `head` (headers and elements are all 8-byte aligned).
-template <typename T, typename H>
-T* section_at(H* head, std::size_t offset) {
-  using Byte = std::conditional_t<std::is_const_v<H>, const unsigned char,
-                                  unsigned char>;
-  return reinterpret_cast<T*>(reinterpret_cast<Byte*>(head + 1) + offset);
+/// The fold target of an array-section item: target[lo, lo + len).
+template <typename T>
+Slice<T> section(Slice<T> target, std::int64_t lo, std::int64_t len) {
+  if (lo < 0 || lo + len > target.len) {
+    panic("array section out of bounds", lo + len, target.len);
+  }
+  return Slice<T>{target.ptr + lo, len};
+}
+
+template <typename T>
+std::size_t reduce_elems(const T&) { return 0; }
+template <typename T>
+std::size_t reduce_elems(Slice<T> acc) {
+  return static_cast<std::size_t>(acc.len);
+}
+
+template <typename T>
+void reduce_put(std::vector<ReduceWord>& words, std::size_t k, T partial) {
+  words[k] = zomp::lang::to_reduce_word(partial);
+}
+
+template <typename T>
+void reduce_put(std::vector<ReduceWord>& words, std::size_t k, Slice<T> acc) {
+  words[k] = static_cast<ReduceWord>(acc.len);
+  for (std::int64_t j = 0; j < acc.len; ++j) {
+    words.push_back(zomp::lang::to_reduce_word(acc.ptr[j]));
+  }
+}
+
+/// One member's payload from its private partials, in item order: a
+/// scalar, or an array section's accumulator slice.
+template <typename... P>
+std::vector<ReduceWord> reduce_pack(const P&... partials) {
+  std::vector<ReduceWord> words;  // one allocation per member
+  words.reserve((sizeof...(P) + ... + reduce_elems(partials)));
+  words.resize(sizeof...(P));
+  std::size_t k = 0;
+  (reduce_put(words, k++, partials), ...);
+  return words;
+}
+
+template <typename T>
+void reduce_take(ReduceOp op, T& target, const ReduceWord* word,
+                 const ReduceWord*&) {
+  target = zomp::lang::reduce_combine(
+      op, target, zomp::lang::from_reduce_word<T>(*word));
+}
+
+template <typename T>
+void reduce_take(ReduceOp op, Slice<T> target, const ReduceWord*,
+                 const ReduceWord*& elems) {
+  for (std::int64_t j = 0; j < target.len; ++j) {
+    target.ptr[j] = zomp::lang::reduce_combine(
+        op, target.ptr[j], zomp::lang::from_reduce_word<T>(*elems++));
+  }
+}
+
+/// The winner's fold: every shared target (a scalar, or a section())
+/// combines with its team-combined partial in `payload`.
+template <typename... T>
+void reduce_fold(const ReduceItem* items, const ReduceWord* payload,
+                 T&&... targets) {
+  const ReduceWord* elems = payload + sizeof...(T);
+  std::size_t k = 0;
+  ((reduce_take(items[k].op, std::forward<T>(targets), payload + k, elems),
+    ++k),
+   ...);
 }
 
 // -- Builtins ---------------------------------------------------------------

@@ -114,6 +114,11 @@ class FreeVarWalker {
         bind(stmt.name);
         break;
       case Stmt::Kind::kOmpReductionCombine:
+        for (const auto& item : stmt.red_items) {
+          reference(item.name, stmt.loc);
+          reference(item.target, stmt.loc);
+        }
+        break;
       case Stmt::Kind::kOmpLastprivateWrite:
         reference(stmt.name, stmt.loc);
         reference(stmt.target, stmt.loc);

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "lang/sema.h"
+#include "runtime/abi.h"
 
 namespace zomp::core {
 namespace {
@@ -64,6 +65,10 @@ void for_each_stmt_expr(const Stmt& stmt, F&& fn) {
   visit(stmt.grainsize);
   visit(stmt.num_tasks);
   visit(stmt.schedule.chunk);
+  for (const auto& item : stmt.red_items) {
+    visit(item.lo);
+    visit(item.len);
+  }
 }
 
 bool is_ptr_capture(CaptureMode m) {
@@ -86,7 +91,7 @@ void collect_assigned_names(const Stmt& root,
       }
     }
     if (s.kind == Stmt::Kind::kOmpLastprivateWrite) out.insert(s.target);
-    if (s.kind == Stmt::Kind::kOmpReductionCombine) out.insert(s.target);
+    for (const auto& item : s.red_items) out.insert(item.target);
   });
 }
 
@@ -307,10 +312,12 @@ class Folder {
         break;
       }
       case Stmt::Kind::kOmpReductionCombine:
-        // Array-section bounds; the combine writes `target`, which the
+        // Array-section bounds; the combine writes its targets, which the
         // enclosing scope's kill_assigned/disqualification already drops.
-        fold_expr(stmt.expr, env);
-        fold_expr(stmt.rhs, env);
+        for (auto& item : stmt.red_items) {
+          fold_expr(item.lo, env);
+          fold_expr(item.len, env);
+        }
         break;
       case Stmt::Kind::kVarDecl:
       case Stmt::Kind::kOmpReductionInit: {
@@ -482,10 +489,11 @@ bool subtree_writes_name(const Stmt& root, const std::string& name) {
         writes = true;
       }
     }
-    if ((s.kind == Stmt::Kind::kOmpLastprivateWrite ||
-         s.kind == Stmt::Kind::kOmpReductionCombine) &&
-        s.target == name) {
+    if (s.kind == Stmt::Kind::kOmpLastprivateWrite && s.target == name) {
       writes = true;
+    }
+    for (const auto& item : s.red_items) {
+      if (item.target == name) writes = true;
     }
     if (s.kind == Stmt::Kind::kOmpWsLoop) {
       for (const auto& lp : s.lastprivate) {
@@ -506,6 +514,37 @@ bool subtree_has_return(const Stmt& root) {
   bool found = false;
   walk_stmts(root, [&](const Stmt& s) {
     if (s.kind == Stmt::Kind::kReturn) found = true;
+  });
+  return found;
+}
+
+/// Can running `root` activate `cancel parallel` on the team that runs it:
+/// directly, or through a function it calls (transitively; an orphaned
+/// cancel sets the enclosing team's flag too) or a task it spawns?
+/// Nested regions cancel their own team, so forks are not followed.
+bool can_cancel_parallel(const Module& module, const Stmt& root,
+                         std::unordered_set<const FnDecl*>& seen) {
+  bool found = false;
+  auto visit_fn = [&](const std::string& name) {
+    const FnDecl* fn = module.find_function(name);
+    if (fn != nullptr && fn->body && seen.insert(fn).second &&
+        can_cancel_parallel(module, *fn->body, seen)) {
+      found = true;
+    }
+  };
+  walk_stmts(root, [&](const Stmt& s) {
+    if (found) return;
+    if (s.kind == Stmt::Kind::kOmpCancel &&
+        s.cancel_construct == ZOMP_CANCEL_PARALLEL) {
+      found = true;
+      return;
+    }
+    if (s.kind == Stmt::Kind::kOmpTask || s.kind == Stmt::Kind::kOmpTaskloop) {
+      visit_fn(s.callee);
+    }
+    for_each_stmt_expr(s, [&](const Expr& e) {
+      if (e.kind == Expr::Kind::kCall) visit_fn(e.name);
+    });
   });
   return found;
 }
@@ -564,7 +603,10 @@ class FusePass : public Pass {
   ///     (the fused function has ONE parameter for it: region 2's private
   ///     copy would otherwise observe region 1's writes);
   ///   * no `return` in either body (a mid-region return would skip the
-  ///     second body for that thread and desynchronize the barrier).
+  ///     second body for that thread and desynchronize the barrier);
+  ///   * body 1 cannot `cancel parallel`, directly or through a call: the
+  ///     cancel would abandon the inter-body barrier and every member would
+  ///     return before body 2.
   bool try_fuse(Module& module, std::vector<StmtPtr>& ss, std::size_t i,
                 PassStats& stats) {
     Stmt& s1 = *ss[i];
@@ -588,6 +630,8 @@ class FusePass : public Pass {
     if (subtree_has_return(*c1->body) || subtree_has_return(*c2->body)) {
       return false;
     }
+    std::unordered_set<const FnDecl*> seen{c1};
+    if (can_cancel_parallel(module, *c1->body, seen)) return false;
 
     std::unordered_map<std::string, const CaptureArg*> first;
     for (const auto& c : s1.captures) first.emplace(c.name, &c);
@@ -714,6 +758,11 @@ void collect_referenced_names(const Stmt& root,
         out.insert(s.target);
         break;
       case Stmt::Kind::kOmpReductionCombine:
+        for (const auto& item : s.red_items) {
+          out.insert(item.name);
+          out.insert(item.target);
+        }
+        break;
       case Stmt::Kind::kOmpLastprivateWrite:
         out.insert(s.name);
         out.insert(s.target);

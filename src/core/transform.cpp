@@ -191,15 +191,22 @@ class Renamer {
         rename(*stmt.body);
         break;
       case Stmt::Kind::kOmpReductionInit:
-      case Stmt::Kind::kOmpReductionCombine:
       case Stmt::Kind::kOmpLastprivateWrite:
-        // An init declares `name` (a new binding); the others read it.
+        // An init declares `name` (a new binding); a writeback reads it.
         if (stmt.kind != Stmt::Kind::kOmpReductionInit && stmt.name == from_) {
           stmt.name = to_;
         }
         if (stmt.target == from_) stmt.target = to_;
         if (stmt.expr) rename(*stmt.expr);  // array-section bounds
         if (stmt.rhs) rename(*stmt.rhs);
+        break;
+      case Stmt::Kind::kOmpReductionCombine:
+        for (auto& item : stmt.red_items) {
+          if (item.name == from_) item.name = to_;
+          if (item.target == from_) item.target = to_;
+          if (item.lo) rename(*item.lo);
+          if (item.len) rename(*item.len);
+        }
         break;
       default:
         break;
@@ -213,12 +220,6 @@ class Renamer {
   bool in_task_ = false;
   bool shadowed_ = false;
 };
-
-/// red_pack value for combine #i of a run of n (see Stmt::red_pack): the
-/// head carries the run length, the rest 0.
-int pack_len(std::size_t i, std::size_t n) {
-  return i == 0 ? static_cast<int>(n) : 0;
-}
 
 lang::ScheduleSpec clone_schedule(const lang::ScheduleSpec& spec) {
   lang::ScheduleSpec out;
@@ -510,12 +511,12 @@ class Transformer {
     }
   }
 
-  /// A reduction init or combine between private `name` and shared
-  /// `target`; a section item (`b` non-null) carries its bounds.
-  static StmtPtr make_reduction_stmt(Stmt::Kind kind, const Directive& d,
-                                     std::string name, std::string target,
-                                     ReduceOp op, const SectionBounds* b) {
-    auto s = Stmt::make(kind, d.loc);
+  /// A reduction init of private `name` from shared `target`; a section
+  /// item (`b` non-null) carries its bounds.
+  static StmtPtr make_reduction_init(const Directive& d, std::string name,
+                                     std::string target, ReduceOp op,
+                                     const SectionBounds* b) {
+    auto s = Stmt::make(Stmt::Kind::kOmpReductionInit, d.loc);
     s->name = std::move(name);
     s->target = std::move(target);
     s->reduce_op = op;
@@ -524,6 +525,22 @@ class Transformer {
       s->rhs = lang::clone_expr(*b->len);
     }
     return s;
+  }
+
+  /// Appends the item folding private `name` into shared `target` to the
+  /// construct's one combine statement.
+  static void add_combine_item(Stmt& combine, std::string name,
+                               std::string target, ReduceOp op,
+                               const SectionBounds* b) {
+    Stmt::OmpReduction item;
+    item.name = std::move(name);
+    item.target = std::move(target);
+    item.op = op;
+    if (b != nullptr) {
+      item.lo = lang::clone_expr(*b->lo);
+      item.len = lang::clone_expr(*b->len);
+    }
+    combine.red_items.push_back(std::move(item));
   }
 
   // -- parallel -------------------------------------------------------------------
@@ -605,28 +622,19 @@ class Transformer {
     // Reduction prolog: private accumulator, named like the variable so the
     // region body's references resolve to it; the shared target rides in the
     // renamed pointer-carrying parameter.
-    std::vector<std::string> reduction_names;
+    // ONE combine statement holds every list item: the backends pack them
+    // — scalars and array sections alike — into ONE zomp_reduce rendezvous
+    // (one barrier-equivalent for k list items; see runtime/reduce.h). The
+    // region-end join barrier publishes the combined values.
+    auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
     for (const auto& n : captured) {
       if (mode[n] != CaptureMode::kReductionPtr) continue;
-      reduction_names.push_back(n);
-      body->stmts.push_back(make_reduction_stmt(Stmt::Kind::kOmpReductionInit,
-                                                d, n, n + "__red", red_op[n],
+      body->stmts.push_back(make_reduction_init(d, n, n + "__red", red_op[n],
                                                 section_of(n)));
+      add_combine_item(*combine, n, n + "__red", red_op[n], section_of(n));
     }
     body->stmts.push_back(std::move(region));
-    // All of the construct's combines are emitted adjacently and the first
-    // carries the run length: backends pack the run — scalars and array
-    // sections alike — into ONE zomp_reduce rendezvous (one
-    // barrier-equivalent for k list items; see runtime/reduce.h).
-    for (std::size_t i = 0; i < reduction_names.size(); ++i) {
-      const auto& n = reduction_names[i];
-      auto combine =
-          make_reduction_stmt(Stmt::Kind::kOmpReductionCombine, d, n,
-                              n + "__red", red_op[n], section_of(n));
-      combine->red_pack = pack_len(i, reduction_names.size());
-      body->stmts.push_back(std::move(combine));
-      // Region-end join barrier publishes the combined value.
-    }
+    if (!combine->red_items.empty()) body->stmts.push_back(std::move(combine));
     for (const auto& n : captured) {
       lang::Param param;
       param.name = mode[n] == CaptureMode::kReductionPtr ? n + "__red" : n;
@@ -949,7 +957,7 @@ class Transformer {
       auto block = Stmt::make(Stmt::Kind::kBlock, d.loc);
       std::vector<StmtPtr> entry;
       std::vector<StmtPtr> inits;
-      std::vector<StmtPtr> combines;
+      auto combine = Stmt::make(Stmt::Kind::kOmpReductionCombine, d.loc);
       for (const auto& r : d.reductions) {
         for (std::size_t i = 0; i < r.vars.size(); ++i) {
           const std::string& n = r.vars[i];
@@ -964,10 +972,8 @@ class Transformer {
             rename_in_body(n, priv);
           }
           const SectionBounds* bp = b ? &*b : nullptr;
-          inits.push_back(make_reduction_stmt(Stmt::Kind::kOmpReductionInit,
-                                              d, priv, n, r.op, bp));
-          combines.push_back(make_reduction_stmt(
-              Stmt::Kind::kOmpReductionCombine, d, priv, n, r.op, bp));
+          inits.push_back(make_reduction_init(d, priv, n, r.op, bp));
+          add_combine_item(*combine, priv, n, r.op, bp);
         }
       }
       for (auto& e : entry) block->stmts.push_back(std::move(e));
@@ -976,12 +982,8 @@ class Transformer {
       ws->nowait = true;  // combine first, then barrier below
       ws->body = std::move(loop);
       block->stmts.push_back(std::move(ws));
-      // Adjacent combines, head carries the run length: one packed
-      // rendezvous for the whole construct (see lower_parallel).
-      for (std::size_t i = 0; i < combines.size(); ++i) {
-        combines[i]->red_pack = pack_len(i, combines.size());
-        block->stmts.push_back(std::move(combines[i]));
-      }
+      // One combine, one packed rendezvous (see lower_parallel).
+      block->stmts.push_back(std::move(combine));
       if (!d.nowait) {
         block->stmts.push_back(Stmt::make(Stmt::Kind::kOmpBarrier, d.loc));
       }

@@ -6,12 +6,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <new>
 #include <sstream>
 #include <type_traits>
 #include <utility>
 
-#include "lang/sema.h"
+#include "core/lower.h"
+#include "lang/reduce_ops.h"
 #include "runtime/abi.h"
 #include "runtime/hl.h"
 #include "runtime/pool.h"
@@ -26,8 +26,6 @@ using lang::Builtin;
 using lang::CaptureMode;
 using lang::Expr;
 using lang::FnDecl;
-using lang::ReduceOp;
-using lang::ScheduleSpec;
 using lang::Stmt;
 using lang::Symbol;
 using lang::UnOp;
@@ -61,139 +59,27 @@ Interp::HostFn host_binding(R (*fn)(A...)) {
   };
 }
 
-rt::Schedule to_rt_schedule(const ScheduleSpec::Kind kind, rt::i64 chunk) {
-  rt::ScheduleKind rt_kind = rt::ScheduleKind::kStatic;
-  switch (kind) {
-    case ScheduleSpec::Kind::kUnspecified:
-    case ScheduleSpec::Kind::kStatic: rt_kind = rt::ScheduleKind::kStatic; break;
-    case ScheduleSpec::Kind::kDynamic: rt_kind = rt::ScheduleKind::kDynamic; break;
-    case ScheduleSpec::Kind::kGuided: rt_kind = rt::ScheduleKind::kGuided; break;
-    case ScheduleSpec::Kind::kAuto: rt_kind = rt::ScheduleKind::kAuto; break;
-    case ScheduleSpec::Kind::kRuntime: rt_kind = rt::ScheduleKind::kRuntime; break;
+/// A scalar as one reduction payload word (lang/reduce_ops.h layout).
+lang::ReduceWord to_word(const Value& v, const lang::SourceLoc& loc) {
+  using lang::to_reduce_word;
+  if (const auto* i = std::get_if<std::int64_t>(&v.v)) {
+    return to_reduce_word(*i);
   }
-  return rt::Schedule{rt_kind, chunk};
+  if (const auto* f = std::get_if<double>(&v.v)) return to_reduce_word(*f);
+  if (const auto* b = std::get_if<bool>(&v.v)) return to_reduce_word(*b);
+  panic(loc, "reduction over non-scalar value");
 }
 
-Value identity_value(ReduceOp op, const lang::Type& type) {
-  if (type.is_f64()) return Value(lang::reduce_identity_f64(op));
-  if (type.is_bool()) return Value(op == ReduceOp::kLogAnd);
-  return Value(lang::reduce_identity_i64(op));
+Value from_word(lang::ReduceType type, lang::ReduceWord w) {
+  return lang::with_reduce_type(type, [w](auto t) {
+    return Value(lang::from_reduce_word<decltype(t)>(w));
+  });
 }
 
-Value combine_values(ReduceOp op, const Value& a, const Value& b,
-                     const lang::SourceLoc& loc) {
-  if (std::holds_alternative<double>(a.v)) {
-    const double x = a.as_f64();
-    const double y = b.as_f64();
-    switch (op) {
-      case ReduceOp::kAdd:
-      case ReduceOp::kSub: return Value(x + y);  // '-' combines with +
-      case ReduceOp::kMul: return Value(x * y);
-      case ReduceOp::kMin: return Value(std::min(x, y));
-      case ReduceOp::kMax: return Value(std::max(x, y));
-      default: panic(loc, "bad float reduction");
-    }
-  }
-  if (std::holds_alternative<bool>(a.v)) {
-    const bool x = a.as_bool();
-    const bool y = b.as_bool();
-    return Value(op == ReduceOp::kLogAnd ? (x && y) : (x || y));
-  }
-  const std::int64_t x = a.as_i64();
-  const std::int64_t y = b.as_i64();
-  switch (op) {
-    case ReduceOp::kAdd:
-    case ReduceOp::kSub: return Value(x + y);
-    case ReduceOp::kMul: return Value(x * y);
-    case ReduceOp::kMin: return Value(std::min(x, y));
-    case ReduceOp::kMax: return Value(std::max(x, y));
-    case ReduceOp::kBitAnd: return Value(x & y);
-    case ReduceOp::kBitOr: return Value(x | y);
-    case ReduceOp::kBitXor: return Value(x ^ y);
-    case ReduceOp::kLogAnd: return Value(static_cast<std::int64_t>(x && y));
-    case ReduceOp::kLogOr: return Value(static_cast<std::int64_t>(x || y));
-  }
-  panic(loc, "bad reduction operator");
-}
-
-/// Packed reduction payload (one rendezvous per construct, Stmt::red_pack;
-/// see runtime/reduce.h). The runtime tree memcpy's its slots, so Value (a
-/// variant with non-trivial alternatives) cannot ride in them directly: the
-/// payload is an entry count followed by one trivially-copyable 16-byte
-/// entry per scalar partial and per array-section element. Up to three
-/// entries ride the inline tree slots; larger payloads transparently take
-/// the tree's by-reference fallback — either way the construct costs ONE
-/// rendezvous.
-struct PackEntry {
-  std::uint8_t tag = 0;  // 0 = i64, 1 = f64, 2 = bool
-  std::uint8_t op = 0;   // lang::ReduceOp
-  union {
-    std::int64_t i;
-    double f;
-    bool b;
-  } u{};
-};
-
-struct PackHead {
-  std::int64_t n = 0;  // entries that follow
-};
-
-constexpr std::size_t pack_bytes(std::int64_t n) {
-  return sizeof(PackHead) + static_cast<std::size_t>(n) * sizeof(PackEntry);
-}
-
-PackEntry* pack_entries(void* payload) {
-  return reinterpret_cast<PackEntry*>(static_cast<PackHead*>(payload) + 1);
-}
-
-const PackEntry* pack_entries(const void* payload) {
-  return reinterpret_cast<const PackEntry*>(
-      static_cast<const PackHead*>(payload) + 1);
-}
-
-PackEntry to_pack_entry(const Value& v, ReduceOp op,
-                        const lang::SourceLoc& loc) {
-  PackEntry e;
-  e.op = static_cast<std::uint8_t>(op);
-  if (std::holds_alternative<std::int64_t>(v.v)) {
-    e.tag = 0;
-    e.u.i = v.as_i64();
-  } else if (std::holds_alternative<double>(v.v)) {
-    e.tag = 1;
-    e.u.f = v.as_f64();
-  } else if (std::holds_alternative<bool>(v.v)) {
-    e.tag = 2;
-    e.u.b = v.as_bool();
-  } else {
-    panic(loc, "reduction over non-scalar value");
-  }
-  return e;
-}
-
-Value from_pack_entry(const PackEntry& e) {
-  switch (e.tag) {
-    case 1: return Value(e.u.f);
-    case 2: return Value(e.u.b);
-    default: return Value(e.u.i);
-  }
-}
-
-void pack_combine(void* /*ctx*/, void* lhs, const void* rhs) {
-  const std::int64_t n = static_cast<const PackHead*>(lhs)->n;
-  PackEntry* a = pack_entries(lhs);
-  const PackEntry* b = pack_entries(rhs);
-  static const lang::SourceLoc kNoLoc{};
-  for (std::int64_t i = 0; i < n; ++i) {
-    PackEntry& x = a[i];
-    const Value combined =
-        combine_values(static_cast<ReduceOp>(b[i].op), from_pack_entry(x),
-                       from_pack_entry(b[i]), kNoLoc);
-    switch (x.tag) {
-      case 1: x.u.f = combined.as_f64(); break;
-      case 2: x.u.b = combined.as_bool(); break;
-      default: x.u.i = combined.as_i64(); break;
-    }
-  }
+/// The tree's combine function; the construct's plan rides as ctx.
+void combine_payloads(void* plan, void* lhs, const void* rhs) {
+  const auto& items = static_cast<const core::ReducePlan*>(plan)->items;
+  lang::reduce_pack_combine(items.data(), items.size(), lhs, rhs);
 }
 
 }  // namespace
@@ -257,22 +143,8 @@ class Exec {
   Flow exec_stmt(const Stmt& stmt) {
     switch (stmt.kind) {
       case Stmt::Kind::kBlock:
-        for (std::size_t i = 0; i < stmt.stmts.size(); ++i) {
-          const Stmt& s = *stmt.stmts[i];
-          // A run of adjacent reduction combines (head carries the run
-          // length) becomes ONE packed rendezvous instead of one per
-          // variable; see exec_reduce_pack.
-          if (s.kind == Stmt::Kind::kOmpReductionCombine && s.red_pack >= 1 &&
-              i + static_cast<std::size_t>(s.red_pack) <= stmt.stmts.size()) {
-            std::vector<const Stmt*> run;
-            for (int k = 0; k < s.red_pack; ++k) {
-              run.push_back(stmt.stmts[i + static_cast<std::size_t>(k)].get());
-            }
-            exec_reduce_pack(run);
-            i += static_cast<std::size_t>(s.red_pack) - 1;
-            continue;
-          }
-          const Flow f = exec_stmt(s);
+        for (const auto& s : stmt.stmts) {
+          const Flow f = exec_stmt(*s);
           if (f != Flow::kNormal) return f;
         }
         return Flow::kNormal;
@@ -324,13 +196,7 @@ class Exec {
 
       case Stmt::Kind::kOmpFork: return exec_fork(stmt);
       case Stmt::Kind::kOmpWsLoop: return exec_ws_loop(stmt);
-      case Stmt::Kind::kOmpBarrier: {
-        rt::ThreadState& ts = rt::current_thread();
-        // An abandoned episode (cancel parallel) unwinds to the region end —
-        // the member heads straight for the non-cancellable join barrier.
-        if (ts.team->barrier_wait(ts.tid)) return Flow::kReturn;
-        return Flow::kNormal;
-      }
+      case Stmt::Kind::kOmpBarrier: return exec_barrier();
       case Stmt::Kind::kOmpCancel:
       case Stmt::Kind::kOmpCancellationPoint:
         return exec_cancel(stmt);
@@ -344,8 +210,8 @@ class Exec {
         rt::ThreadState& ts = rt::current_thread();
         Flow f = Flow::kNormal;
         if (ts.team->single_begin(ts)) f = exec_stmt(*stmt.body);
-        if (!stmt.nowait && ts.team->barrier_wait(ts.tid)) {
-          return Flow::kReturn;  // abandoned: region cancelled
+        if (!stmt.nowait && exec_barrier() == Flow::kReturn) {
+          return Flow::kReturn;
         }
         return f;
       }
@@ -370,8 +236,12 @@ class Exec {
         return f;
       }
       case Stmt::Kind::kOmpReductionInit: {
+        Value identity = lang::with_reduce_type(
+            core::reduce_type(stmt.symbol->type), [&](auto t) {
+              return Value(lang::reduce_identity<decltype(t)>(stmt.reduce_op));
+            });
         if (!stmt.rhs) {
-          bind(stmt.symbol, identity_value(stmt.reduce_op, stmt.symbol->type));
+          bind(stmt.symbol, std::move(identity));
           return Flow::kNormal;
         }
         // Array section: a private len-element slice of identities.
@@ -379,15 +249,12 @@ class Exec {
         if (len < 0) panic(stmt.loc, "negative array-section length");
         SliceVal acc;
         acc.data = std::make_shared<std::vector<Value>>(
-            static_cast<std::size_t>(len),
-            identity_value(stmt.reduce_op, stmt.symbol->type.element()));
+            static_cast<std::size_t>(len), identity);
         bind(stmt.symbol, Value(std::move(acc)));
         return Flow::kNormal;
       }
       case Stmt::Kind::kOmpReductionCombine:
-        // Combine runs normally arrive through the kBlock case above; a lone
-        // combine is a run of one.
-        exec_reduce_pack({&stmt});
+        exec_reduce(stmt);
         return Flow::kNormal;
       case Stmt::Kind::kOmpLastprivateWrite: {
         Cell target = cell_of(stmt.target_symbol, stmt.loc);
@@ -415,65 +282,75 @@ class Exec {
     return Flow::kNormal;
   }
 
-  /// One rendezvous for a construct's whole run of reduction combines:
-  /// every member deposits one payload of all its partials (scalars and
-  /// array-section elements), the tree combines entry by entry (each with
-  /// its own operator), and the winner alone folds every entry into its
-  /// shared target; the construct's ensuing barrier (join or explicit)
-  /// publishes the writes — no lock.
-  void exec_reduce_pack(const std::vector<const Stmt*>& run) {
-    rt::ThreadState& ts = rt::current_thread();
-    std::vector<Cell> locals;
-    std::int64_t n = 0;
-    for (const Stmt* s : run) {
-      locals.push_back(cell_of(s->symbol, s->loc));
-      n += s->rhs ? locals.back()->as_slice().len() : 1;
-    }
-    // Heap storage is suitably aligned for both the head and the entries.
-    std::vector<unsigned char> storage(pack_bytes(n));
-    new (storage.data()) PackHead{n};
-    PackEntry* entries = pack_entries(storage.data());
-    std::int64_t at = 0;
-    for (std::size_t k = 0; k < run.size(); ++k) {
-      const Stmt& s = *run[k];
-      if (!s.rhs) {
-        new (&entries[at++])
-            PackEntry(to_pack_entry(*locals[k], s.reduce_op, s.loc));
+  /// One rendezvous for a construct's whole reduction list (core::
+  /// ReducePlan): every member deposits one payload of all its partials
+  /// (lang/reduce_ops.h layout), the tree folds the payloads item by item,
+  /// and the winner alone folds every item into its shared target; the
+  /// construct's ensuing barrier (join or explicit) publishes the writes —
+  /// no lock.
+  void exec_reduce(const Stmt& stmt) {
+    core::ReducePlan plan = core::plan_reduce(stmt);
+    const std::size_t n = plan.items.size();
+    std::vector<lang::ReduceWord> payload(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const Value& local = *cell_of(stmt.red_items[k].symbol, stmt.loc);
+      if (!plan.items[k].section) {
+        payload[k] = to_word(local, stmt.loc);
         continue;
       }
-      for (const Value& v : *locals[k]->as_slice().data) {
-        new (&entries[at++]) PackEntry(to_pack_entry(v, s.reduce_op, s.loc));
+      payload[k] = static_cast<lang::ReduceWord>(local.as_slice().len());
+      for (const Value& v : *local.as_slice().data) {
+        payload.push_back(to_word(v, stmt.loc));
       }
     }
-    if (!ts.team->reduce_combine(ts, storage.data(), pack_bytes(n),
-                                 &pack_combine, nullptr,
-                                 /*broadcast=*/false)) {
+    rt::ThreadState& ts = rt::current_thread();
+    if (!ts.team->reduce_combine(
+            ts, payload.data(), payload.size() * sizeof(lang::ReduceWord),
+            &combine_payloads, &plan, /*broadcast=*/false)) {
       return;
     }
-    at = 0;
-    for (std::size_t k = 0; k < run.size(); ++k) {
-      const Stmt& s = *run[k];
-      Cell target = cell_of(s.target_symbol, s.loc);
-      if (!s.rhs) {
-        *target = combine_values(s.reduce_op, *target,
-                                 from_pack_entry(entries[at++]), s.loc);
+    auto fold = [&](const lang::ReduceItem& item, Value& target,
+                    lang::ReduceWord w) {
+      lang::ReduceWord acc = to_word(target, stmt.loc);
+      lang::reduce_word(item.op, item.type, acc, w);
+      target = from_word(item.type, acc);
+    };
+    std::size_t elem = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Stmt::OmpReduction& item = stmt.red_items[k];
+      Cell target = cell_of(item.target_symbol, stmt.loc);
+      if (!plan.items[k].section) {
+        fold(plan.items[k], *target, payload[k]);
         continue;
       }
-      const std::int64_t lo = eval(*s.expr).as_i64();
-      const std::int64_t len = locals[k]->as_slice().len();
+      // Element j of the section lands at target[lo + j].
+      const std::int64_t lo = eval(*item.lo).as_i64();
+      const auto len = static_cast<std::int64_t>(payload[k]);
       std::vector<Value>& data = *target->as_slice().data;
       if (lo < 0 || lo + len > static_cast<std::int64_t>(data.size())) {
-        panic(s.loc, "array section [" + std::to_string(lo) + ":" +
-                         std::to_string(len) + "] out of bounds of '" +
-                         s.target + "' (len " + std::to_string(data.size()) +
-                         ")");
+        panic(stmt.loc, "array section [" + std::to_string(lo) + ":" +
+                            std::to_string(len) + "] out of bounds of '" +
+                            item.target + "' (len " +
+                            std::to_string(data.size()) + ")");
       }
       for (std::int64_t j = 0; j < len; ++j) {
-        Value& cell = data[static_cast<std::size_t>(lo + j)];
-        cell = combine_values(s.reduce_op, cell, from_pack_entry(entries[at++]),
-                              s.loc);
+        fold(plan.items[k], data[static_cast<std::size_t>(lo + j)],
+             payload[elem++]);
       }
     }
+  }
+
+  /// A barrier wait. An abandoned episode (cancel parallel) unwinds an
+  /// outlined region body to its end — the member heads straight for the
+  /// non-cancellable join barrier; elsewhere it is dropped (core::
+  /// barrier_escape).
+  Flow exec_barrier() {
+    rt::ThreadState& ts = rt::current_thread();
+    const bool abandoned = ts.team->barrier_wait(ts.tid);
+    return abandoned && core::barrier_escape(fn_.is_outlined) ==
+                            core::CancelEscape::kLeaveFrame
+               ? Flow::kReturn
+               : Flow::kNormal;
   }
 
   Flow exec_fork(const Stmt& stmt) {
@@ -572,10 +449,9 @@ class Exec {
     ordered_iv_ = loop.symbol;
     ordered_lo_ = lo;
 
-    const bool needs_dispatch =
-        stmt.ordered || stmt.schedule.kind == ScheduleSpec::Kind::kDynamic ||
-        stmt.schedule.kind == ScheduleSpec::Kind::kGuided ||
-        stmt.schedule.kind == ScheduleSpec::Kind::kRuntime;
+    const core::LoopPlan plan = core::plan_loop(stmt);
+    const bool saved_cancel_loop = in_cancel_loop_;
+    in_cancel_loop_ = plan.cancel_escape;
 
     bool had_last = false;
     // Cancellation escape shared by both scheduling paths. `cancel for`
@@ -604,7 +480,7 @@ class Exec {
       }
       return false;
     };
-    if (!needs_dispatch) {
+    if (!plan.dispatch) {
       const rt::StaticRange r =
           rt::static_distribute(lo, hi, 1, chunk, ts.tid, team.size());
       const std::int64_t span = r.hi - r.lo;
@@ -613,8 +489,9 @@ class Exec {
       }
       had_last = r.last;
     } else {
-      team.dispatch_init(ts, to_rt_schedule(stmt.schedule.kind, chunk), lo, hi,
-                         1);
+      team.dispatch_init(
+          ts, rt::Schedule{static_cast<rt::ScheduleKind>(plan.schedule), chunk},
+          lo, hi, 1);
       std::int64_t clo = 0, chi = 0;
       bool last = false;
       while (team.dispatch_next(ts, &clo, &chi, &last)) {
@@ -628,49 +505,35 @@ class Exec {
 
     ordered_iv_ = saved_iv;
     ordered_lo_ = saved_lo;
+    in_cancel_loop_ = saved_cancel_loop;
 
     if (out == Flow::kReturn) return Flow::kReturn;  // region cancelled
-    if (had_last && out == Flow::kNormal) {
+    if (plan.track_last && had_last && out == Flow::kNormal) {
       for (const auto& [local, target] : stmt.lastprivate_syms) {
         *cell_of(target, stmt.loc) = *cell_of(local, stmt.loc);
       }
     }
-    if (!stmt.nowait && team.barrier_wait(ts.tid)) return Flow::kReturn;
-    return Flow::kNormal;
+    return stmt.nowait ? Flow::kNormal : exec_barrier();
   }
 
-  /// `omp cancel` / `omp cancellation point`. Construct codes are the
-  /// ZOMP_CANCEL_* values carried through Stmt::cancel_construct (1 parallel,
-  /// 2 for, 4 taskgroup). Activation and observation both translate into a
-  /// Flow escape: kCancelLoop unwinds to the enclosing ws-loop, kReturn
-  /// unwinds to the region (or task body) end. Everything is a no-op while
-  /// the OMP_CANCELLATION ICV is off — the runtime predicates encode that.
+  /// `omp cancel` / `omp cancellation point`: the same ABI entry points
+  /// generated code calls (no-ops while the OMP_CANCELLATION ICV is off),
+  /// then the escape core::plan_cancel picked. kCancelLoop unwinds to the
+  /// enclosing ws-loop, kReturn to the region (or task body) end.
   Flow exec_cancel(const Stmt& stmt) {
-    rt::ThreadState& ts = rt::current_thread();
-    rt::Team& team = *ts.team;
-    const bool is_point = stmt.kind == Stmt::Kind::kOmpCancellationPoint;
-    switch (stmt.cancel_construct) {
-      case 1:  // parallel
-        if (is_point ? team.cancellation_requested(ts, rt::Team::kCancelParallel)
-                     : team.cancel_activate(ts, rt::Team::kCancelParallel)) {
-          return Flow::kReturn;
-        }
-        return Flow::kNormal;
-      case 2: {  // for: a point also observes a region-wide cancel
-        const bool hit =
-            is_point ? team.cancellation_requested(
-                           ts, rt::Team::kCancelLoop | rt::Team::kCancelParallel)
-                     : team.cancel_activate(ts, rt::Team::kCancelLoop);
-        return hit ? Flow::kCancelLoop : Flow::kNormal;
-      }
-      case 4:  // taskgroup
-        if (is_point ? team.taskgroup_cancelled(ts) : team.cancel_taskgroup(ts)) {
-          return Flow::kReturn;
-        }
-        return Flow::kNormal;
-      default:
-        return Flow::kNormal;
+    const core::CancelPlan plan =
+        core::plan_cancel(stmt, in_cancel_loop_, fn_.is_outlined);
+    const bool hit =
+        (stmt.kind == Stmt::Kind::kOmpCancellationPoint
+             ? zomp_cancellation_point(nullptr, 0, plan.construct)
+             : zomp_cancel(nullptr, 0, plan.construct)) != 0;
+    if (!hit) return Flow::kNormal;
+    switch (plan.escape) {
+      case core::CancelEscape::kLeaveLoop: return Flow::kCancelLoop;
+      case core::CancelEscape::kLeaveFrame: return Flow::kReturn;
+      case core::CancelEscape::kFlagOnly: break;
     }
+    return Flow::kNormal;
   }
 
   /// Storage address of a depend item (the OpenMP list-item identity): the
@@ -720,11 +583,8 @@ class Exec {
       body.bind_params(*captured);
       body.run();
     };
-    const bool rich = !stmt.depends.empty() || stmt.final_clause != nullptr ||
-                      stmt.priority != nullptr || stmt.untied ||
-                      stmt.if_clause != nullptr;
-    if (!rich) {
-      // Zero-clause fast path, unchanged.
+    const core::TaskPlan plan = core::plan_task(stmt);
+    if (plan.fast) {
       ts.team->task_create(ts, std::move(body_fn));
       return Flow::kNormal;
     }
@@ -746,7 +606,7 @@ class Exec {
     opts.deferred =
         stmt.if_clause == nullptr || eval(*stmt.if_clause).as_bool();
     opts.final = stmt.final_clause != nullptr && eval(*stmt.final_clause).as_bool();
-    opts.untied = stmt.untied;
+    opts.untied = (plan.flags & ZOMP_TASK_UNTIED) != 0;
     opts.priority = stmt.priority
                         ? static_cast<rt::i32>(eval(*stmt.priority).as_i64())
                         : 0;
@@ -1080,6 +940,8 @@ class Exec {
   Value return_value_;
   const Symbol* ordered_iv_ = nullptr;
   std::int64_t ordered_lo_ = 0;
+  /// The innermost ws-loop of this activation has a `cancel for` escape.
+  bool in_cancel_loop_ = false;
 };
 
 // ---------------------------------------------------------------------------

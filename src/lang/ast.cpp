@@ -26,22 +26,6 @@ std::string Type::to_string() const {
   return "<invalid>";
 }
 
-const char* reduce_op_spelling(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kAdd: return "+";
-    case ReduceOp::kSub: return "-";
-    case ReduceOp::kMul: return "*";
-    case ReduceOp::kMin: return "min";
-    case ReduceOp::kMax: return "max";
-    case ReduceOp::kBitAnd: return "&";
-    case ReduceOp::kBitOr: return "|";
-    case ReduceOp::kBitXor: return "^";
-    case ReduceOp::kLogAnd: return "and";
-    case ReduceOp::kLogOr: return "or";
-  }
-  return "<invalid>";
-}
-
 ExprPtr Expr::make(Kind kind, SourceLoc loc) {
   auto e = std::make_unique<Expr>();
   e->kind = kind;
@@ -327,9 +311,17 @@ std::string dump_stmt(const Stmt& stmt, int indent) {
           << section_suffix(stmt) << ")\n";
       break;
     case Stmt::Kind::kOmpReductionCombine:
-      out << pad << "(omp-red-combine " << stmt.target << ' '
-          << reduce_op_spelling(stmt.reduce_op) << ' ' << stmt.name
-          << section_suffix(stmt) << ")\n";
+      out << pad << "(omp-red-combine";
+      for (std::size_t i = 0; i < stmt.red_items.size(); ++i) {
+        const Stmt::OmpReduction& item = stmt.red_items[i];
+        out << (i > 0 ? ", " : " ") << item.target << ' '
+            << reduce_op_spelling(item.op) << ' ' << item.name;
+        if (item.len) {
+          out << " [" << dump_expr(*item.lo) << ':' << dump_expr(*item.len)
+              << ']';
+        }
+      }
+      out << ")\n";
       break;
     case Stmt::Kind::kOmpLastprivateWrite:
       out << pad << "(omp-lastprivate " << stmt.target << " = " << stmt.name

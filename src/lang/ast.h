@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "lang/reduce_ops.h"
 #include "lang/source.h"
 #include "lang/type.h"
 
@@ -131,11 +132,6 @@ enum class CaptureMode {
   kReductionPtr,   ///< reduction target: address passed + private accumulator
 };
 
-/// Reduction operators of the `reduction` clause.
-enum class ReduceOp { kAdd, kSub, kMul, kMin, kMax, kBitAnd, kBitOr, kBitXor, kLogAnd, kLogOr };
-
-const char* reduce_op_spelling(ReduceOp op);
-
 struct CaptureArg {
   std::string name;        ///< source-level variable name
   CaptureMode mode = CaptureMode::kSharedPtr;
@@ -194,7 +190,8 @@ struct Stmt {
 
     // OpenMP structured statements (see DESIGN.md §6). These are the "calls
     // to the OpenMP runtime inserted prior to the compile-time engine" of the
-    // paper, in structured form; backends lower them to the zomp ABI.
+    // paper, in structured form; backends lower them to the zomp ABI. They
+    // stay last: `kind >= kOmpFork` tests for any of them.
     kOmpFork,         ///< call an outlined region function on a new team
     kOmpWsLoop,       ///< worksharing distribution of the contained loop
     kOmpBarrier,
@@ -322,24 +319,34 @@ struct Stmt {
   // kOmpSingle: body + nowait. kOmpMaster / kOmpOrdered: body.
   // kOmpAtomic: body must be a single kAssign statement.
 
-  // kOmpReductionInit / kOmpReductionCombine / kOmpLastprivateWrite:
-  // `name` = private local, `target` = pointer parameter name.
-  // Array-section reductions (`reduction(op: q[lo:len])`) also set, on both
-  // the init and the combine, `expr` = lo and `rhs` = len: i64 expressions
-  // over values fixed at construct entry (literals or synthesized consts).
-  // The private local is then a len-element slice; element j accumulates
-  // target[lo + j], and the region body indexes it at `i - lo`.
+  // kOmpReductionInit / kOmpLastprivateWrite: `name` = private local,
+  // `target` = pointer parameter name. An array-section reduction init
+  // (`reduction(op: q[lo:len])`) also sets `expr` = lo and `rhs` = len: i64
+  // expressions over values fixed at construct entry (literals or
+  // synthesized consts). The private local is then a len-element slice;
+  // element j accumulates target[lo + j], and the region body indexes it at
+  // `i - lo`.
   std::string target;
   ReduceOp reduce_op = ReduceOp::kAdd;
   Symbol* target_symbol = nullptr;  // sema
 
-  /// kOmpReductionCombine only: multi-variable packing (reduce.h). On the
-  /// FIRST combine of a construct's consecutive combine run, the number of
-  /// combines in the run (>= 1); 0 on the others. Backends lower each run
-  /// as ONE zomp_reduce rendezvous over a payload packing every scalar
-  /// partial and every array-section partial. Set by the directive engine,
-  /// which emits each construct's combines adjacently.
-  int red_pack = 1;
+  /// kOmpReductionCombine: one list item; private `name` folds into shared
+  /// `target` with `op`. An array-section item also carries its bounds
+  /// (`lo`, `len`: i64 expressions, as on the matching init).
+  struct OmpReduction {
+    std::string name;
+    std::string target;
+    ReduceOp op = ReduceOp::kAdd;
+    ExprPtr lo;   // section only
+    ExprPtr len;  // section only
+    Symbol* symbol = nullptr;         // sema
+    Symbol* target_symbol = nullptr;  // sema
+  };
+  /// The construct's whole reduction list, in clause order: ONE combine
+  /// statement per construct, lowered as ONE zomp_reduce rendezvous over a
+  /// payload packing every scalar and array-section partial (core/lower.h
+  /// ReducePlan).
+  std::vector<OmpReduction> red_items;
 
   static StmtPtr make(Kind kind, SourceLoc loc);
 };

@@ -67,7 +67,13 @@ StmtPtr clone_stmt(const Stmt& stmt) {
   copy->lastprivate = stmt.lastprivate;
   copy->target = stmt.target;
   copy->reduce_op = stmt.reduce_op;
-  copy->red_pack = stmt.red_pack;
+  for (const auto& item : stmt.red_items) {
+    Stmt::OmpReduction c{item.name, item.target, item.op, nullptr, nullptr,
+                    nullptr, nullptr};
+    if (item.lo) c.lo = clone_expr(*item.lo);
+    if (item.len) c.len = clone_expr(*item.len);
+    copy->red_items.push_back(std::move(c));
+  }
   return copy;
 }
 

@@ -1,38 +1,12 @@
 #include "lang/sema.h"
 
-#include <limits>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace zomp::lang {
-
-double reduce_identity_f64(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kAdd:
-    case ReduceOp::kSub: return 0.0;
-    case ReduceOp::kMul: return 1.0;
-    case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
-    case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
-    default: return 0.0;  // bit/logical ops are integer/bool-only
-  }
-}
-
-std::int64_t reduce_identity_i64(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kAdd:
-    case ReduceOp::kSub: return 0;
-    case ReduceOp::kMul: return 1;
-    case ReduceOp::kMin: return std::numeric_limits<std::int64_t>::max();
-    case ReduceOp::kMax: return std::numeric_limits<std::int64_t>::min();
-    case ReduceOp::kBitAnd: return -1;  // all ones
-    case ReduceOp::kBitOr:
-    case ReduceOp::kBitXor: return 0;
-    case ReduceOp::kLogAnd: return 1;
-    case ReduceOp::kLogOr: return 0;
-  }
-  return 0;
-}
 
 namespace {
 
@@ -344,11 +318,17 @@ class Sema {
           type = check_section_reduction(stmt, target->type);
         } else {
           type = target->type;
+          const ReduceOp op = stmt.reduce_op;
           if (!type.is_numeric() &&
-              !(type.is_bool() && (stmt.reduce_op == ReduceOp::kLogAnd ||
-                                   stmt.reduce_op == ReduceOp::kLogOr))) {
+              !(type.is_bool() &&
+                (op == ReduceOp::kLogAnd || op == ReduceOp::kLogOr))) {
             diags_.error(stmt.loc, "reduction over unsupported type " +
                                        type.to_string());
+            type = Type::invalid();
+          } else if (type.is_f64() && is_bitwise(op)) {
+            diags_.error(stmt.loc, std::string("bitwise operator '") +
+                                       reduce_op_spelling(op) +
+                                       "' needs an i64 reduction variable");
             type = Type::invalid();
           }
         }
@@ -358,35 +338,52 @@ class Sema {
         break;
       }
       case Stmt::Kind::kOmpReductionCombine:
-      case Stmt::Kind::kOmpLastprivateWrite: {
-        Symbol* local = lookup(stmt.name);
-        Symbol* target = lookup(stmt.target);
-        if (local == nullptr) {
-          diags_.error(stmt.loc, "unknown local '" + stmt.name + "'");
+        for (Stmt::OmpReduction& item : stmt.red_items) {
+          if (item.len) check_section_bounds(*item.lo, *item.len);
+          std::tie(item.symbol, item.target_symbol) = check_writeback(
+              stmt.loc, item.name, item.target, item.len != nullptr);
         }
-        if (stmt.rhs) check_section_bounds(stmt);
-        if (target == nullptr) {
-          diags_.error(stmt.loc, "unknown combine/writeback target '" +
-                                     stmt.target + "'");
-        } else if (target->is_const && !stmt.rhs) {
-          // (An array-section combine writes elements, not the slice
-          // header, so a const slice binding is a fine target.)
-          diags_.error(stmt.loc, "combine/writeback target '" + stmt.target +
-                                     "' is const");
-        } else if (local != nullptr && target->type != local->type) {
-          diags_.error(stmt.loc, "type mismatch between '" + stmt.name +
-                                     "' and '" + stmt.target + "'");
-        }
-        stmt.symbol = local;
-        stmt.target_symbol = target;
         break;
-      }
+      case Stmt::Kind::kOmpLastprivateWrite:
+        std::tie(stmt.symbol, stmt.target_symbol) =
+            check_writeback(stmt.loc, stmt.name, stmt.target, false);
+        break;
     }
   }
 
+  /// Resolves a combine item's or lastprivate writeback's private local and
+  /// shared target. (An array-section combine writes elements, not the
+  /// slice header, so a const slice binding is a fine `section` target.)
+  std::pair<Symbol*, Symbol*> check_writeback(SourceLoc loc,
+                                              const std::string& name,
+                                              const std::string& target_name,
+                                              bool section) {
+    Symbol* local = lookup(name);
+    Symbol* target = lookup(target_name);
+    if (local == nullptr) {
+      diags_.error(loc, "unknown local '" + name + "'");
+    }
+    if (target == nullptr) {
+      diags_.error(loc, "unknown combine/writeback target '" + target_name +
+                            "'");
+    } else if (target->is_const && !section) {
+      diags_.error(loc, "combine/writeback target '" + target_name +
+                            "' is const");
+    } else if (local != nullptr && target->type != local->type) {
+      diags_.error(loc, "type mismatch between '" + name + "' and '" +
+                            target_name + "'");
+    }
+    return {local, target};
+  }
+
+  static bool is_bitwise(ReduceOp op) {
+    return op == ReduceOp::kBitAnd || op == ReduceOp::kBitOr ||
+           op == ReduceOp::kBitXor;
+  }
+
   /// The i64 bounds of an array-section reduction init/combine.
-  void check_section_bounds(Stmt& stmt) {
-    for (Expr* bound : {stmt.expr.get(), stmt.rhs.get()}) {
+  void check_section_bounds(Expr& lo, Expr& len) {
+    for (Expr* bound : {&lo, &len}) {
       const Type t = check_expr(*bound);
       if (!t.is_invalid() && !t.is_i64()) {
         diags_.error(bound->loc, "array-section bounds must be i64");
@@ -398,7 +395,7 @@ class Sema {
   /// target must be a slice of i64 or f64, and the operator must be
   /// arithmetic (min/max included) or, on i64 elements, bitwise.
   Type check_section_reduction(Stmt& stmt, const Type& target) {
-    check_section_bounds(stmt);
+    check_section_bounds(*stmt.expr, *stmt.rhs);
     // Parallel-level targets ride in the transform's `<name>__red` parameter;
     // diagnostics name the user's variable.
     std::string user = stmt.target;
@@ -417,9 +414,7 @@ class Sema {
                                  "' is not supported on " + what);
       return Type::invalid();
     }
-    if (target.element().is_f64() &&
-        (op == ReduceOp::kBitAnd || op == ReduceOp::kBitOr ||
-         op == ReduceOp::kBitXor)) {
+    if (target.element().is_f64() && is_bitwise(op)) {
       diags_.error(stmt.loc, std::string("bitwise operator '") +
                                  reduce_op_spelling(op) + "' needs i64 " +
                                  "elements on " + what);

@@ -18,9 +18,4 @@ namespace zomp::lang {
 /// usable by backends only when this returns true.
 bool analyze(Module& module, Diagnostics& diags);
 
-/// Identity element for a reduction over `type` (used by both backends).
-/// E.g. kAdd -> 0 / 0.0, kMul -> 1, kMin -> +max.
-double reduce_identity_f64(ReduceOp op);
-std::int64_t reduce_identity_i64(ReduceOp op);
-
 }  // namespace zomp::lang

@@ -33,13 +33,11 @@
 //
 // Multi-variable constructs pack into ONE rendezvous: a directive with k
 // reduction list items (`reduction(+: a) reduction(max: b, q[0:10]) ...`)
-// costs one combine, not k. The directive engine marks the construct's
-// combine run (Stmt::red_pack) and both backends deposit a single payload
-// holding every scalar partial and every array-section partial; the combine
-// function applies each item's operator to its own fields. Payloads beyond
-// kSlotBytes transparently take the by-reference fallback — still one
-// rendezvous, never k. The payload is opaque to the tree: `size` and `fn`
-// are simply those of the packed payload.
+// is one combine statement, and both backends deposit one payload of every
+// scalar and array-section partial in the lang/reduce_ops.h layout, folded
+// item by item by reduce_pack_combine. Payloads beyond kSlotBytes take the
+// by-reference fallback — still one rendezvous, never k. The payload is
+// opaque to the tree: `size` and `fn` are simply those of the payload.
 //
 // The tree belongs to exactly one Team and survives hot-team recycling
 // (pool.h) without any reset: instance sequence numbers are monotonic

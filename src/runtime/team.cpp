@@ -463,8 +463,14 @@ bool Team::episode(std::atomic<i32>& arrived, std::atomic<u64>& epoch,
         // Cancellation re-check: the canceller never arrives, so without
         // this the waiters would park forever. Each abandoner rolls back its
         // own arrival, returning the count to zero once all survivors left —
-        // the epoch never advances and the episode simply evaporates.
+        // the epoch never advances and the episode simply evaporates. A
+        // canceller that did arrive set the flag only after this episode
+        // completed (after the epoch store), so the seq_cst epoch re-load
+        // sees it: pass normally, since rolling back an arrival the last
+        // arriver already reset would leave the count at -1 and hang the
+        // team's next barrier.
         if (cancelled()) {
+          if (epoch.load(std::memory_order_seq_cst) != seen) break;
           arrived.fetch_sub(1, std::memory_order_acq_rel);
           return true;
         }

@@ -111,18 +111,20 @@ fn f(n: i64) f64 {
   return s;
 }
 )");
-  EXPECT_NE(cpp.find("std::numeric_limits<double>::infinity()"),
+  // The identity and the combiner come from the one (op, type) table.
+  EXPECT_NE(cpp.find("mz::reduce_identity<double>(mz::ReduceOp::kMin)"),
             std::string::npos);
   // Tree rendezvous: a static combine fn + winner-only fold into the target.
   EXPECT_NE(cpp.find("if (zomp_reduce("), std::string::npos);
-  EXPECT_NE(cpp.find("mz::mz_min("), std::string::npos);
+  EXPECT_NE(cpp.find("mz::reduce_pack_combine("), std::string::npos);
+  EXPECT_NE(cpp.find("mz::reduce_fold("), std::string::npos);
   EXPECT_EQ(cpp.find("zomp_reduce_enter("), std::string::npos)
       << "global-critical reduction protocol must be retired";
 }
 
 TEST(CodegenTest, MultiVarReductionPacksIntoOneRendezvous) {
   // Two reduction clauses on one construct: the partials pack into a single
-  // struct payload and ONE zomp_reduce call, not one per variable.
+  // payload and ONE zomp_reduce call, not one per variable.
   const std::string cpp = gen(R"(
 fn f(n: i64) f64 {
   var s: f64 = 0.0;
@@ -141,7 +143,10 @@ fn f(n: i64) f64 {
     ++count;
   }
   EXPECT_EQ(count, 1u) << "expected exactly one packed rendezvous:\n" << cpp;
-  EXPECT_NE(cpp.find("__redpack_"), std::string::npos) << cpp;
+  EXPECT_NE(cpp.find("{{mz::ReduceOp::kAdd, mz::ReduceType::kF64, false}, "
+                     "{mz::ReduceOp::kMax, mz::ReduceType::kI64, false}}"),
+            std::string::npos)
+      << cpp;
 }
 
 std::size_t count_of(const std::string& text, const std::string& needle) {
@@ -174,9 +179,10 @@ fn f(n: i64, lo: i64, h: []i64) i64 {
       << "body must index the accumulator at i - lo:\n"
       << cpp;
   EXPECT_EQ(count_of(cpp, "zomp_reduce("), 1u) << cpp;
-  EXPECT_NE(cpp.find(", mz::section_at<std::int64_t>(__redhead_"),
+  EXPECT_NE(cpp.find("{mz::ReduceOp::kAdd, mz::ReduceType::kI64, true}"),
             std::string::npos)
       << cpp;
+  EXPECT_NE(cpp.find("mz::section(h__red_"), std::string::npos) << cpp;
   EXPECT_EQ(cpp.find("zomp_atomic_"), std::string::npos) << cpp;
 }
 

@@ -242,6 +242,63 @@ pub fn sum_two(k: i64, n: i64, out: []i64) void {
   EXPECT_EQ(result.pass_stats.regions_fused, 0);
 }
 
+TEST(FusePassTest, CancelParallelInFirstRegionBlocksFusion) {
+  // A `cancel parallel` that region 1 can reach, directly or through an
+  // orphaned cancel in a called function, would abandon the fused body's
+  // inter-region barrier: every member would return before region 2.
+  const char* kShapes[] = {R"(
+pub fn run(x: []i64) void {
+  //#omp parallel num_threads(2)
+  {
+    //#omp cancel parallel
+  }
+  //#omp parallel for num_threads(2)
+  for (0..4) |i| {
+    x[i] = 1;
+  }
+}
+)",
+                           R"(
+fn stop() void {
+  //#omp cancel parallel
+}
+fn helper() void {
+  stop();
+}
+pub fn run(x: []i64) void {
+  //#omp parallel num_threads(2)
+  {
+    helper();
+  }
+  //#omp parallel for num_threads(2)
+  for (0..4) |i| {
+    x[i] = 1;
+  }
+}
+)"};
+  for (const char* source : kShapes) {
+    auto result = compile_at(source, /*opt_level=*/1);
+    ASSERT_TRUE(result.ok) << result.diagnostics_text();
+    EXPECT_EQ(result.pass_stats.regions_fused, 0) << source;
+  }
+  // A cancel in region 2 runs after the inter-region barrier: still fused.
+  auto second = compile_at(R"(
+pub fn run(x: []i64) void {
+  //#omp parallel for num_threads(2)
+  for (0..4) |i| {
+    x[i] = 1;
+  }
+  //#omp parallel num_threads(2)
+  {
+    //#omp cancel parallel
+  }
+}
+)",
+                           /*opt_level=*/1);
+  ASSERT_TRUE(second.ok) << second.diagnostics_text();
+  EXPECT_EQ(second.pass_stats.regions_fused, 1);
+}
+
 TEST(FusePassTest, ReductionResultReadBySecondRegionBlocksFusion) {
   // s1 is a reduction pointer in region 1 and an input of region 2: the
   // capture-mode mismatch is exactly the nowait-unsafe boundary (region 2

@@ -266,5 +266,24 @@ TEST(SemaTest, SectionBoundsMustBeI64) {
       << result.diagnostics_text();
 }
 
+TEST(SemaTest, BitwiseScalarReductionNeedsI64) {
+  // The reduction table has no bitwise combiner on f64.
+  const char* kSource =
+      "fn f(n: i64) f64 {\n  var s: f64 = 0.0;\n"
+      "  //#omp parallel for reduction(OP: s)\n"
+      "  for (0..n) |i| {}\n  return s;\n}\n";
+  for (const char* op : {"&", "|", "^"}) {
+    std::string source = kSource;
+    source.replace(source.find("OP"), 2, op);
+    auto result = core::compile_source(source);
+    EXPECT_FALSE(result.ok) << op;
+    EXPECT_NE(result.diagnostics_text().find("needs an i64"),
+              std::string::npos)
+        << result.diagnostics_text();
+  }
+  std::string sum = kSource;
+  EXPECT_TRUE(core::compile_source(sum.replace(sum.find("OP"), 2, "+")).ok);
+}
+
 }  // namespace
 }  // namespace zomp::lang

@@ -1,9 +1,10 @@
 // -O0 vs -O1 equivalence: the optimizer pipeline (fold, fuse, dce-hoist —
 // core/passes.h) must be invisible to results. Every kernel in
-// src/npb/kernels is run four ways — interpreted at opt_level 0 and 1, and
-// natively through the build-time -O0 (<kernel>_mz_o0) and default -O1
-// (<kernel>_mz) transpiles — across {1, 2, 4, 8} threads, and all four must
-// agree (with the serial host oracle pinning the integer kernels). Float
+// src/npb/kernels (cancel.mz with cancellation on and off) is run four
+// ways — interpreted at opt_level 0 and 1, and natively through the
+// build-time -O0 (<kernel>_mz_o0) and default -O1 (<kernel>_mz) transpiles
+// — across {1, 2, 4, 8} threads, and all four must agree (with the serial
+// host oracle pinning the integer kernels). Float
 // kernels are compared within one backend (interp-vs-interp and
 // native-vs-native are bit-exact by construction; interp-vs-native f64 sums
 // are the province of backend_equivalence_test).
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "cancel_mz.h"
+#include "cancel_mz_o0.h"
 #include "cg_mz.h"
 #include "cg_mz_o0.h"
 #include "core/pipeline.h"
@@ -33,6 +36,7 @@
 #include "reduce_matrix_mz.h"
 #include "reduce_matrix_mz_o0.h"
 #include "runtime/api.h"
+#include "runtime/icv.h"
 #include "section_hist_mz.h"
 #include "section_hist_mz_o0.h"
 #include "taskgraph_mz.h"
@@ -469,6 +473,78 @@ TEST_P(OptLevelSweep, TaskgraphAgreesAcrossOptLevels) {
         << "driver " << k << " at " << threads << " threads";
     EXPECT_EQ(interp_sums[0][k], native_sums[1][k])
         << "driver " << k << " at " << threads << " threads";
+  }
+}
+
+/// cancel.mz's five drivers through the native module `ns`, in order:
+/// cancel_for_run, cancel_parallel_run, cancel_taskgroup_run,
+/// cancel_then_region_run, orphaned_cancel_run.
+#define ZOMP_RUN_CANCEL_NATIVE(ns)                                          \
+  [] {                                                                      \
+    std::vector<std::int64_t> marks(2000, 0), par(2, 0), tg(1, 0), x(4, 0), \
+        orphan(2, 0);                                                       \
+    return std::vector<std::int64_t>{                                       \
+        ns::cancel_for_run(2000, 5, slice_of(marks)),                       \
+        ns::cancel_parallel_run(slice_of(par)),                             \
+        ns::cancel_taskgroup_run(64, slice_of(tg)),                         \
+        ns::cancel_then_region_run(slice_of(x)),                            \
+        ns::orphaned_cancel_run(slice_of(orphan))};                         \
+  }()
+
+TEST_P(OptLevelSweep, CancelAgreesAcrossOptLevels) {
+  zomp::set_num_threads(GetParam());
+  for (const bool enabled : {true, false}) {
+    rt::GlobalIcv::instance().set_cancellation(enabled);
+    std::vector<std::vector<std::int64_t>> ways;  // interp O0, O1; native O0, O1
+    for (int level = 0; level <= 1; ++level) {
+      auto compiled = compile_kernel("cancel.mz", level);
+      ASSERT_TRUE(compiled.ok) << compiled.diagnostics_text();
+      Interp interp(*compiled.module);
+      ways.push_back(
+          {interp
+               .call_by_name("cancel_for_run",
+                             {Value(std::int64_t{2000}), Value(std::int64_t{5}),
+                              Value(make_slice_i64(2000))})
+               .as_i64(),
+           interp.call_by_name("cancel_parallel_run",
+                               {Value(make_slice_i64(2))})
+               .as_i64(),
+           interp
+               .call_by_name("cancel_taskgroup_run",
+                             {Value(std::int64_t{64}), Value(make_slice_i64(1))})
+               .as_i64(),
+           interp.call_by_name("cancel_then_region_run",
+                               {Value(make_slice_i64(4))})
+               .as_i64(),
+           interp.call_by_name("orphaned_cancel_run",
+                               {Value(make_slice_i64(2))})
+               .as_i64()});
+    }
+    ways.push_back(ZOMP_RUN_CANCEL_NATIVE(mzgen_cancel_mz_o0));
+    ways.push_back(ZOMP_RUN_CANCEL_NATIVE(mzgen_cancel_mz));
+    rt::GlobalIcv::instance().set_cancellation(false);
+
+    const char* kWay[] = {"interp -O0", "interp -O1", "native -O0",
+                          "native -O1"};
+    for (std::size_t w = 0; w < ways.size(); ++w) {
+      const auto& r = ways[w];
+      const std::string where = std::string(kWay[w]) + ", cancellation " +
+                                (enabled ? "on" : "off") + ", " +
+                                std::to_string(GetParam()) + " threads";
+      // cancel for / cancel taskgroup drain a timing-dependent amount.
+      if (enabled) {
+        EXPECT_GE(r[0], 1) << where;
+        EXPECT_LT(r[0], 2000) << where;
+        EXPECT_GE(r[2], 1) << where;
+        EXPECT_LT(r[2], 64) << where;
+      } else {
+        EXPECT_EQ(r[0], 2000) << where;
+        EXPECT_EQ(r[2], 64) << where;
+      }
+      EXPECT_EQ(r[1], enabled ? 20 : 22) << where;
+      EXPECT_EQ(r[3], 4) << where;  // the second region always runs
+      EXPECT_EQ(r[4], 11) << where;  // orphaned cancels are flag only
+    }
   }
 }
 

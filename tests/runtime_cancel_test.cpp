@@ -269,6 +269,29 @@ TEST_F(CancelTest, CancelParallelStress) {
   }
 }
 
+TEST_F(CancelTest, CancelRightAfterABarrierKeepsLaterBarriersBalanced) {
+  // A member cancels as soon as the barrier releases it, while its partner
+  // may still be in the wait loop: the partner sees the flag before the new
+  // epoch and must pass, not roll back an arrival the last arriver already
+  // reset — that left the count at -1 and hung the next region's barrier.
+  for (int round = 0; round < 2000; ++round) {
+    zomp::parallel(
+        [&] {
+          ThreadState& ts = current_thread();
+          if (zomp::barrier()) return;
+          (void)ts.team->cancel_activate(ts, Team::kCancelParallel);
+        },
+        zomp::ParallelOptions{2});
+    std::atomic<int> passed{0};
+    zomp::parallel(
+        [&] {
+          if (!zomp::barrier()) passed.fetch_add(1);
+        },
+        zomp::ParallelOptions{2});
+    ASSERT_EQ(passed.load(), 2) << "round " << round;
+  }
+}
+
 TEST_F(CancelTest, CancelForStress) {
   for (int round = 0; round < 100; ++round) {
     std::atomic<i64> done{0};
@@ -406,6 +429,26 @@ TEST_P(CancelE2eTest, CancelTaskgroupDiscardsInBothBackends) {
     EXPECT_EQ(native, n);
     EXPECT_EQ(iv.as_i64(), n);
   }
+}
+
+TEST_P(CancelE2eTest, OrphanedCancelIsFlagOnlyInBothBackends) {
+  // The cancels sit in plain functions called from a region and from a
+  // ws-loop body: no region frame or loop of their own to leave, so the
+  // write after each lands in both backends (x[0] * 10 + x[1] == 11).
+  std::vector<std::int64_t> x(2, 0);
+  const std::int64_t native = mzgen_cancel_mz::orphaned_cancel_run(
+      mz::Slice<std::int64_t>{x.data(), 2});
+
+  auto result = core::compile_source(read_kernel("cancel.mz"),
+                                     {true, "cancel_interp"});
+  ASSERT_TRUE(result.ok) << result.diagnostics_text();
+  interp::Interp vm(*result.module);
+  interp::SliceVal ix = make_slice_i64(2);
+  const interp::Value iv =
+      vm.call_by_name("orphaned_cancel_run", {interp::Value(ix)});
+
+  EXPECT_EQ(native, 11);
+  EXPECT_EQ(iv.as_i64(), native);
 }
 
 INSTANTIATE_TEST_SUITE_P(IcvOnOff, CancelE2eTest, ::testing::Values(true, false),

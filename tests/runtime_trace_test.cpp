@@ -644,7 +644,7 @@ TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
                                      {true, "omp_queries_interp"});
   ASSERT_TRUE(result.ok) << result.diagnostics_text();
   interp::Interp interp(*result.module);
-  constexpr std::int64_t kQueries = 20;
+  constexpr std::int64_t kQueries = 22;
   const auto interpreted = [&](const char* fn) {
     interp::SliceVal out;
     out.data = std::make_shared<std::vector<interp::Value>>(
@@ -666,8 +666,10 @@ TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
   // trace_flush (18) returns 0: tracing is not file-backed in this test.
   const std::int64_t prio = zomp_get_max_task_priority();
   const std::int64_t cancel = zomp_get_cancellation();
+  const std::int64_t dynamic = zomp_get_dynamic();
   const std::vector<std::int64_t> serial = {
-      0, 1, 0, 0, 1, -1, 1, 1, 1, prio, 1, 1, 1, 1, 1, 1, 0, cancel, 0, 1};
+      0, 1, 0, 0, 1, -1, 1, 1, 1, prio, 1, 1, 1, 1, 1, 1, 0, cancel, 0, 1,
+      0, dynamic};
   EXPECT_EQ(interpreted("queries_run"), serial);
   EXPECT_EQ(native(&mzgen_omp_queries_mz::queries_run), serial);
 
@@ -677,6 +679,7 @@ TEST(TeamStatsTest, MzHostFnsAreCallableFromMiniZig) {
   in_region[2] = 1;  // in_parallel
   in_region[3] = 1;  // level
   in_region[4] = 4;  // team_size(level)
+  in_region[20] = 1;  // active_level
   EXPECT_EQ(interpreted("region_run"), in_region);
   EXPECT_EQ(native(&mzgen_omp_queries_mz::region_run), in_region);
 }
